@@ -43,12 +43,15 @@ class ArithFnHandle:
 
     ``eval`` must be a deterministic, reentrant map from positive integers
     to exact values (or floats when ``value_kind="real"``), total on any
-    range under test and not identically zero there.
+    range under test and not identically zero there. ``range_values``,
+    when present, maps N to the list ``v`` with ``v[n] = eval(n)`` for
+    ``1 <= n <= N`` computed in one pass (see :func:`evaluate_range`).
     """
 
     name: str
     eval: Callable[[int], Value]
     value_kind: str = "integer"  # "integer" | "rational" | "real"
+    range_values: Callable[[int], list[Value]] | None = None
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,15 @@ class DecomposabilityResult:
         }
 
 
-def _evaluate_range(f: ArithFnHandle, bound: int) -> list[Value]:
+def evaluate_range(f: ArithFnHandle, bound: int) -> list[Value]:
+    """``v`` with ``v[n] = f(n)`` for ``1 <= n <= bound``; ``v[0]`` is padding.
+
+    This is the one path for f over a range: the handle's one-pass table
+    when it has one, otherwise per-n ``eval``, whose failures surface as
+    :class:`EvaluationError` carrying the offending n.
+    """
+    if f.range_values is not None:
+        return f.range_values(bound)
     values: list[Value] = [0] * (bound + 1)
     for n in range(1, bound + 1):
         try:
@@ -120,7 +131,7 @@ def classify(f: ArithFnHandle, bound: int) -> ClassificationReport:
     """Test the four laws on every pair (m, n) with m*n <= bound."""
     if bound < 4:
         raise ValueError(f"bound must be >= 4, got {bound}")
-    v = _evaluate_range(f, bound)
+    v = evaluate_range(f, bound)
     if not any(v[1:]):
         raise ValueError(f"{f.name} is identically zero on 1..{bound}")
     eq = _equal(f.value_kind)
@@ -193,7 +204,7 @@ def verify_decomposable(f: ArithFnHandle, mode: str, bound: int) -> Decomposabil
         raise ValueError(f"mode must be 'multiplicative' or 'additive', got {mode!r}")
     if bound < 4:
         raise ValueError(f"bound must be >= 4, got {bound}")
-    v = _evaluate_range(f, bound)
+    v = evaluate_range(f, bound)
     eq = _equal(f.value_kind)
     sieve = build_sieve(bound)
     local: dict[tuple[int, int], Value] = {}

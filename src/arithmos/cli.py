@@ -23,7 +23,7 @@ import click
 
 from . import __version__
 from .classify import classify as run_classification
-from .classify import verify_decomposable
+from .classify import evaluate_range, verify_decomposable
 from .core import build_sieve
 from .functions import FUNCTION_IDS, INTEGER_FUNCTION_IDS, constant_one, make_handle
 from .identities import (
@@ -47,22 +47,25 @@ LEMMA_DIRECT = {
     "lemma-d": (None, "L"),
 }
 
+#: Largest range accepted by table --nmax, classify --bound, probnum --M and
+#: the lemma identities' verify --nmax; checked before any sieve is built.
+RANGE_CEILING = 10**7
+
 
 def _fail(exc: Exception) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(1)
 
 
+def _check_range(value: int, flag: str, least: int) -> None:
+    if value < least:
+        raise click.UsageError(f"{flag} must be >= {least}")
+    if value > RANGE_CEILING:
+        raise click.UsageError(f"{flag} must be <= {RANGE_CEILING} (the range ceiling), got {value}")
+
+
 def _decimal(value: Fraction) -> str:
     return f"{float(value):.12e}"
-
-
-def _value_str(v) -> str:
-    if isinstance(v, Fraction):
-        return format_rational(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _structured(command: str, params: dict, body: dict) -> str:
@@ -80,7 +83,7 @@ def _structured(command: str, params: dict, body: dict) -> str:
 
 def _csv(header: tuple[str, ...], rows) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(str(c) for c in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -139,22 +142,20 @@ def cli(ctx: click.Context, config: str | None) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Output file (default: stdout).")
 def table(fn: str, t: int | None, nmax: int, format: str, out: str | None) -> None:
     """Write (n, f(n)) rows for n = 1..NMAX."""
-    if nmax < 1:
-        raise click.UsageError("--nmax must be >= 1")
+    _check_range(nmax, "--nmax", 1)
     try:
         handle = make_handle(fn, t=t, sieve=build_sieve(max(nmax, 2)))
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    try:
-        rows = [(n, _value_str(handle.eval(n))) for n in range(1, nmax + 1)]
-    except Exception as exc:  # noqa: BLE001 - report and exit 1
-        _fail(exc)
-        return
+    values = evaluate_range(handle, nmax)
     params = {"fn": fn, "t": t, "nmax": nmax, "format": format}
     if format == "csv":
-        _emit(_csv(("n", "value"), rows), out)
+        text = _csv(("n", "value"), ((n, values[n]) for n in range(1, nmax + 1)))
     else:
-        _emit(_structured("table", params, {"function": handle.name, "rows": [list(r) for r in rows]}), out)
+        rows = [[n, str(values[n])] for n in range(1, nmax + 1)]
+        del values  # JSON rendering is the memory peak; free the table first
+        text = _structured("table", params, {"function": handle.name, "rows": rows})
+    _emit(text, out)
 
 
 @cli.command()
@@ -185,8 +186,7 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
     all_passed = True
 
     if identity in LEMMA_DIRECT:
-        if nmax < 2:
-            raise click.UsageError("--nmax must be >= 2")
+        _check_range(nmax, "--nmax", 2)
         try:
             spec = builtin_spec(identity, t=t)
         except ValueError as exc:
@@ -285,8 +285,7 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def classify_cmd(fn: str, t: int | None, bound: int, decomposable: str | None, out: str | None) -> None:
     """Classify a function over 1..BOUND; the verdict lives in the report."""
-    if bound < 4:
-        raise click.UsageError("--bound must be >= 4")
+    _check_range(bound, "--bound", 4)
     try:
         handle = make_handle(fn, t=t, sieve=build_sieve(bound))
     except ValueError as exc:
@@ -380,8 +379,7 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str | None) -> None:
     """Exponent histogram over 1..M, its exact PMF, and the first four moments."""
-    if m < 1:
-        raise click.UsageError("--M must be >= 1")
+    _check_range(m, "--M", 1)
     try:
         handle = make_handle(beta, t=t, sieve=build_sieve(max(m, 2)))
     except ValueError as exc:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import add, mul
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -163,6 +165,88 @@ def prime_count_upto(n: int, sieve: SieveTable) -> int:
         raise ValueError(f"{n} exceeds sieve limit {sieve.limit}")
     spf = sieve.spf
     return sum(1 for k in range(2, n + 1) if spf[k] == k)
+
+
+def local_function(fn_id: str, t: int | None = None) -> tuple[Callable[[Factorization], int], bool]:
+    """The factorization-local function ``fn_id`` and whether it is additive.
+
+    ``d``, ``sigma`` (t >= 0, default 1), ``phi`` are multiplicative and
+    ``omega``, ``bigomega``, ``L`` (t >= 1, default 1) additive: each is
+    fixed by its values on prime powers.
+    """
+    if fn_id == "d":
+        return divisor_count, False
+    if fn_id == "sigma":
+        t = 1 if t is None else t
+        if t < 0:
+            raise ValueError(f"sigma needs t >= 0, got {t}")
+        return (lambda f: divisor_power_sum(f, t)), False
+    if fn_id == "phi":
+        return euler_totient, False
+    if fn_id == "omega":
+        return distinct_prime_count, True
+    if fn_id == "bigomega":
+        return (lambda f: exponent_power_sum(f, 1)), True
+    if fn_id == "L":
+        t = 1 if t is None else t
+        if t < 1:
+            raise ValueError(f"L needs t >= 1, got {t}")
+        return (lambda f: exponent_power_sum(f, t)), True
+    raise ValueError(f"{fn_id!r} is not a factorization-local function id")
+
+
+def range_values(fn_id: str, limit: int, sieve: SieveTable | None = None, t: int | None = None) -> list[int]:
+    """``v`` with ``v[n] = f(n)`` for every ``1 <= n <= limit``; ``v[0]`` is 0 padding.
+
+    The factorization-local ids of :func:`local_function` take one pass
+    over ``spf``: n = p^e * m with p = spf(n) and p not dividing m reuses
+    the values at p^e and m, and only prime powers are evaluated directly.
+    ``pi`` is a running prefix count over the sieve and ``partition``
+    reads the :func:`partition_count` cache. ``sieve`` is reused when it
+    covers ``limit``; otherwise one is built.
+    """
+    if limit < 1:
+        raise ValueError(f"need limit >= 1, got {limit}")
+    if fn_id == "partition":
+        partition_count(limit)
+        values = _partitions[: limit + 1]
+        values[0] = 0
+        return values
+    rule = None if fn_id == "pi" else local_function(fn_id, t)
+    if sieve is None or sieve.limit < limit:
+        sieve = build_sieve(max(limit, 2))
+    spf = sieve.spf
+    values = [0] * (limit + 1)
+    if rule is None:
+        count = 0
+        for n in range(2, limit + 1):
+            if spf[n] == n:
+                count += 1
+            values[n] = count
+        return values
+
+    local, additive = rule
+    combine = add if additive else mul
+    values[1] = 0 if additive else 1
+    low = [1] * (limit + 1)  # low[n] = p^e, the full power of p = spf(n) dividing n
+    for n in range(2, limit + 1):
+        p = spf[n]
+        q = n // p
+        if q % p:
+            low[n] = p
+            values[n] = combine(values[p], values[q]) if q > 1 else local(Factorization(n, ((p, 1),)))
+            continue
+        pe = low[q] * p
+        low[n] = pe
+        if pe < n:
+            values[n] = combine(values[pe], values[n // pe])
+        else:
+            e = 2
+            while q > p:
+                q //= p
+                e += 1
+            values[n] = local(Factorization(n, ((p, e),)))
+    return values
 
 
 # Cache of p(0), p(1), ... computed so far. Grown copy-on-write so that a

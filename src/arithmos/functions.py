@@ -1,27 +1,27 @@
 """Named function handles shared by the CLI, classification, and tests.
 
 ``make_handle`` wires the classical functions from :mod:`arithmos.core`
-into :class:`~arithmos.classify.ArithFnHandle` objects. Handles backed by
-factorization use the supplied sieve for arguments inside its range and
-fall back to trial division beyond it, so prime powers far above the
-sieve limit still evaluate exactly.
+into :class:`~arithmos.classify.ArithFnHandle` objects. Per-n ``eval`` of
+a handle backed by factorization uses the supplied sieve for arguments
+inside its range and falls back to trial division beyond it, so prime
+powers far above the sieve limit still evaluate exactly. Every handle
+except ``log`` also carries :func:`~arithmos.core.range_values`, which
+tabulates ``1..N`` in one pass over the sieve.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from .classify import ArithFnHandle
 from .core import (
     SieveTable,
-    distinct_prime_count,
-    divisor_count,
-    divisor_power_sum,
-    euler_totient,
-    exponent_power_sum,
     factorize,
+    local_function,
     partition_count,
     prime_count_upto,
+    range_values,
     trial_factorize,
 )
 
@@ -53,32 +53,25 @@ def make_handle(fn_id: str, t: int | None = None, sieve: SieveTable | None = Non
     if t is not None and fn_id not in ("sigma", "L"):
         raise ValueError(f"parameter t does not apply to {fn_id!r}")
 
-    fac = _factorizer(sieve)
-    if fn_id == "d":
-        return ArithFnHandle("d", lambda n: divisor_count(fac(n)))
-    if fn_id == "sigma":
-        t = 1 if t is None else t
-        if t < 0:
-            raise ValueError(f"sigma needs t >= 0, got {t}")
-        return ArithFnHandle(f"sigma_{t}", lambda n, _t=t: divisor_power_sum(fac(n), _t))
-    if fn_id == "omega":
-        return ArithFnHandle("omega", lambda n: distinct_prime_count(fac(n)))
-    if fn_id == "bigomega":
-        return ArithFnHandle("bigomega", lambda n: exponent_power_sum(fac(n), 1))
-    if fn_id == "L":
-        t = 1 if t is None else t
-        if t < 1:
-            raise ValueError(f"L needs t >= 1, got {t}")
-        return ArithFnHandle(f"L_{t}", lambda n, _t=t: exponent_power_sum(fac(n), _t))
-    if fn_id == "phi":
-        return ArithFnHandle("phi", lambda n: euler_totient(fac(n)))
+    if fn_id == "log":
+        return ArithFnHandle("log", math.log, value_kind="real")
+    name = fn_id
     if fn_id == "pi":
         if sieve is None:
             raise ValueError("pi needs an explicit sieve (it is not factorization-local)")
-        return ArithFnHandle("pi", lambda n, _s=sieve: prime_count_upto(n, _s))
-    if fn_id == "partition":
-        return ArithFnHandle("partition", partition_count)
-    return ArithFnHandle("log", math.log, value_kind="real")
+        ev = partial(prime_count_upto, sieve=sieve)
+    elif fn_id == "partition":
+        ev = partition_count
+    else:
+        local, _ = local_function(fn_id, t)
+        if fn_id in ("sigma", "L"):
+            t = 1 if t is None else t
+            name = f"{fn_id}_{t}"
+        fac = _factorizer(sieve)
+
+        def ev(n: int) -> int:
+            return local(fac(n))
+    return ArithFnHandle(name, ev, range_values=partial(range_values, fn_id, sieve=sieve, t=t))
 
 
 def constant_one() -> ArithFnHandle:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .classify import ArithFnHandle, EvaluationError
+from .classify import ArithFnHandle, evaluate_range
 from .core import Factorization, SieveTable, build_sieve, factorize, partition_count, primes_upto
 from .powerseries import Rational, TruncatedSeries, as_rational
 
@@ -131,15 +131,13 @@ def verify_per_term(
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if sieve is None or sieve.limit < n_max:
         sieve = build_sieve(n_max)
+    # the direct side comes from range tables, the spec side from per-n factorizations
+    direct_a = evaluate_range(direct_alpha, n_max)
+    direct_b = evaluate_range(direct_beta, n_max)
     failures = []
     for n in range(2, n_max + 1):
         ab = alpha_beta(spec, factorize(n, sieve))
-        try:
-            da = direct_alpha.eval(n)
-            db = direct_beta.eval(n)
-        except Exception as exc:
-            raise EvaluationError(f"{direct_alpha.name}/{direct_beta.name}", n, exc) from exc
-        if ab.alpha != da or ab.beta != db:
+        if ab.alpha != direct_a[n] or ab.beta != direct_b[n]:
             failures.append(n)
     return IdentityCheckReport(spec.name, n_max=n_max, per_term_failures=tuple(failures))
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .core import trial_factorize
+
 Rational = Union[int, Fraction]
 
 
@@ -180,26 +182,13 @@ def ps_eval(a: TruncatedSeries, x: Rational) -> Rational:
     return as_rational(acc)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def geometric_factor(p: int, k: int, order: int) -> TruncatedSeries:
     """The two-term series ``1 + x / (p^k - 1)`` at the given order.
 
     This is the closed form of ``1 + x (p^-k + p^-2k + ...)``: the full
     geometric inner sum attached to one prime.
     """
-    if not _is_prime(p):
+    if p < 2 or trial_factorize(p).factors != ((p, 1),):
         raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import ArithFnHandle, EvaluationError
+from .classify import ArithFnHandle, evaluate_range
 from .powerseries import Rational, TruncatedSeries, as_rational, format_rational
 
 
@@ -54,18 +54,16 @@ def build_polynomial(beta: ArithFnHandle, M: int) -> ArithPolynomial:
     """Histogram of beta(n) over n = 1..M; beta must be nonnegative-integer valued."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
+    values = evaluate_range(beta, M)
     counts: Counter[int] = Counter()
     for n in range(1, M + 1):
-        try:
-            val = beta.eval(n)
-        except Exception as exc:
-            raise EvaluationError(beta.name, n, exc) from exc
-        if isinstance(val, Fraction):
+        val = values[n]
+        if not isinstance(val, int):
+            if not isinstance(val, Fraction):
+                raise ValueError(f"{beta.name}({n}) = {val!r} is not an integer")
             if val.denominator != 1:
                 raise ValueError(f"{beta.name}({n}) = {val} is not an integer")
             val = val.numerator
-        if not isinstance(val, int):
-            raise ValueError(f"{beta.name}({n}) = {val!r} is not an integer")
         if val < 0:
             raise ValueError(f"{beta.name}({n}) = {val} is negative")
         counts[val] += 1

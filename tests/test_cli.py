@@ -1,10 +1,12 @@
+import hashlib
 import json
 import re
 from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
-from arithmos.cli import cli
+from arithmos.cli import RANGE_CEILING, cli
 
 
 def run(*args):
@@ -255,3 +257,48 @@ def test_version_flag():
     res = run("--version")
     assert res.exit_code == 0
     assert "arithmos" in res.output
+
+
+# --- size ceiling ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("args", [
+    ("table", "--fn", "d", "--nmax"),
+    ("classify", "--fn", "d", "--bound"),
+    ("probnum", "--beta", "omega", "--M"),
+    ("verify", "--identity", "lemma-a", "--nmax"),
+])
+def test_range_above_ceiling_rejected_before_allocation(args):
+    # only ceiling + 1 is ever tried: it is refused before any sieve is built
+    res = run(*args, str(RANGE_CEILING + 1))
+    assert res.exit_code == 2
+    assert f"{args[-1]} must be <= {RANGE_CEILING}" in res.output
+
+
+# --- report bytes ------------------------------------------------------------------------
+
+# sha256 of stdout, recorded from the per-n evaluation path that the range tables replaced
+REPORT_SHA256 = [
+    (("table", "--fn", "d", "--nmax", "2000"),
+     "433ac41b4c38bffc55a95e5733330efaeb2fd3e84633057b975a33b990b098e9"),
+    (("table", "--fn", "sigma", "--t", "2", "--nmax", "2000", "--format", "structured"),
+     "7520c9b8537dba219bfa5556360c3c574bb0c2afa5c215b261e436e3039cb3dc"),
+    (("table", "--fn", "pi", "--nmax", "2000"),
+     "64d39fa620a40543756526fb0934fead9446d6991389caa0d13bf692d5ad78ed"),
+    (("table", "--fn", "partition", "--nmax", "2000"),
+     "be526f5bac9bbe04bf68ec79517699970260a7039b11a39b6009d40a0701383a"),
+    (("classify", "--fn", "sigma", "--bound", "2000", "--decomposable", "multiplicative"),
+     "f232593d8d18b5284ffca3202fde393d201b03e069fd862452330fed7a5dd7b6"),
+    (("classify", "--fn", "bigomega", "--bound", "2000", "--decomposable", "additive"),
+     "cf05f13ba6b2e5c131de72e4a6657a400fec90f8665a4b50d95a866a59932bf9"),
+    (("probnum", "--beta", "omega", "--M", "2000", "--roots"),
+     "818107404532395fbb44ca6ea97adf39a3feb53824eacb9834c11a45724e05c0"),
+    (("verify", "--identity", "lemma-b", "--t", "2", "--nmax", "2000"),
+     "defada329cad3e83ffd974fffd754f0ab2acbe4bf67bdef8138a83bbbcc96ae1"),
+]
+
+
+@pytest.mark.parametrize("args, digest", REPORT_SHA256, ids=[" ".join(a[:3]) for a, _ in REPORT_SHA256])
+def test_report_bytes_unchanged(args, digest):
+    res = run(*args)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest

@@ -3,6 +3,7 @@ from math import gcd, isqrt
 
 import pytest
 
+from arithmos.classify import ArithFnHandle, EvaluationError
 from arithmos.core import (
     build_sieve,
     distinct_prime_count,
@@ -14,8 +15,11 @@ from arithmos.core import (
     partition_count,
     prime_count_upto,
     primes_upto,
+    range_values,
     trial_factorize,
 )
+from arithmos.functions import make_handle
+from arithmos.identities import builtin_spec, verify_per_term
 
 
 # --- independent oracles ---------------------------------------------------
@@ -254,3 +258,109 @@ def test_partition_small_values_against_enumeration():
 def test_partition_spot_values():
     assert partition_count(5) == 7
     assert partition_count(10) == 42
+
+
+# --- one-pass range tables vs the per-n oracles ---------------------------------
+
+# every factorization-local id with the per-n function it must reproduce
+LOCAL_CASES = [
+    ("d", None, divisor_count),
+    *(("sigma", t, lambda f, t=t: divisor_power_sum(f, t)) for t in (0, 1, 2, 3)),
+    ("omega", None, distinct_prime_count),
+    ("bigomega", None, lambda f: exponent_power_sum(f, 1)),
+    *(("L", t, lambda f, t=t: exponent_power_sum(f, t)) for t in (1, 2)),
+    ("phi", None, euler_totient),
+]
+
+
+@pytest.mark.parametrize("limit", [1, 2])
+def test_range_values_tiny_limits(limit):
+    sieve = build_sieve(2)
+    for fn_id, t, per_n in LOCAL_CASES:
+        values = range_values(fn_id, limit, sieve, t)
+        assert values == [0] + [per_n(factorize(n, sieve)) for n in range(1, limit + 1)], (fn_id, t)
+    assert range_values("pi", limit, sieve) == [0, 0, 1][: limit + 1]
+    assert range_values("partition", limit) == [0, 1, 2][: limit + 1]
+
+
+def test_range_values_match_factorize_everywhere(sieve100k):
+    limit = 10**5
+    facs = [None] + [factorize(n, sieve100k) for n in range(1, limit + 1)]
+    for fn_id, t, per_n in LOCAL_CASES:
+        values = range_values(fn_id, limit, sieve100k, t)
+        assert len(values) == limit + 1
+        bad = [n for n in range(1, limit + 1) if values[n] != per_n(facs[n])]
+        assert not bad, (fn_id, t, bad[:5])
+
+
+def test_range_values_builds_a_sieve_when_needed(sieve10k):
+    assert range_values("sigma", 500, None, 2) == range_values("sigma", 500, sieve10k, 2)
+    small = build_sieve(50)
+    assert range_values("phi", 500, small) == range_values("phi", 500, sieve10k)
+
+
+def test_range_values_rejects_bad_arguments(sieve10k):
+    with pytest.raises(ValueError):
+        range_values("d", 0, sieve10k)
+    with pytest.raises(ValueError):
+        range_values("log", 10, sieve10k)
+    with pytest.raises(ValueError):
+        range_values("sigma", 10, sieve10k, -1)
+    with pytest.raises(ValueError):
+        range_values("L", 10, sieve10k, 0)
+
+
+def test_prime_count_prefix_matches_oracle_everywhere(sieve10k):
+    values = range_values("pi", 10**4, sieve10k)
+    assert all(values[n] == prime_count_upto(n, sieve10k) for n in range(1, 10**4 + 1))
+
+
+def test_partition_range_reads_the_cache():
+    values = range_values("partition", 400)
+    assert values[1:] == [partition_count(n) for n in range(1, 401)]
+
+
+def test_per_term_broken_direct_handle_reports_n(sieve10k):
+    def broken(n):
+        if n == 37:
+            raise ZeroDivisionError("bad")
+        return distinct_prime_count(factorize(n, sieve10k))
+
+    with pytest.raises(EvaluationError) as err:
+        verify_per_term(builtin_spec("lemma-c"), make_handle("d", sieve=sieve10k),
+                        ArithFnHandle("broken", broken), 100, sieve=sieve10k)
+    assert err.value.n == 37
+    assert err.value.name == "broken"
+
+
+# --- differential tests against sympy (skipped when it is not installed) -------------
+
+SYMPY_LIMIT = 2 * 10**4
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@pytest.mark.parametrize("fn_id, t, name", [
+    ("sigma", 0, "divisor_sigma"),
+    ("sigma", 1, "divisor_sigma"),
+    ("sigma", 2, "divisor_sigma"),
+    ("phi", None, "totient"),
+    ("omega", None, "primenu"),
+    ("bigomega", None, "primeomega"),
+    ("pi", None, "primepi"),
+])
+def test_range_values_match_sympy(sympy, sieve100k, fn_id, t, name):
+    oracle = getattr(sympy, name)
+    args = () if t is None else (t,)
+    values = range_values(fn_id, SYMPY_LIMIT, sieve100k, t)
+    bad = [n for n in range(1, SYMPY_LIMIT + 1) if values[n] != oracle(n, *args)]
+    assert not bad, bad[:5]
+
+
+def test_partition_range_matches_sympy(sympy):
+    values = range_values("partition", 2000)
+    bad = [n for n in range(1, 2001) if values[n] != sympy.partition(n)]
+    assert not bad, bad[:5]
