@@ -24,7 +24,6 @@ from .core import (
     trial_factorize,
 )
 from .identities import (
-    AlphaBeta,
     IdentityCheckReport,
     LocalFactorSpec,
     alpha_beta,
@@ -37,7 +36,6 @@ from .identities import (
 )
 from .powerseries import (
     TruncatedSeries,
-    geometric_factor,
     ps_add,
     ps_eval,
     ps_mul,
@@ -52,66 +50,8 @@ from .waring import (
     essentially_distinct_two_squares,
     four_square_counts,
     generalized_theta,
-    primes_4k1_count,
     theta_series,
     two_square_counts,
     verify_lemma_g,
     waring_counts,
 )
-
-__all__ = [
-    "__version__",
-    "ArithFnHandle",
-    "ArithPolynomial",
-    "AlphaBeta",
-    "ClassificationReport",
-    "Factorization",
-    "IdentityCheckReport",
-    "LocalFactorSpec",
-    "Pmf",
-    "RepCountTable",
-    "SieveTable",
-    "TruncatedSeries",
-    "alpha_beta",
-    "brute_force_count",
-    "build_polynomial",
-    "build_sieve",
-    "builtin_spec",
-    "classify",
-    "correlation_counts",
-    "distinct_prime_count",
-    "divisor_count",
-    "divisor_power_sum",
-    "essentially_distinct_two_squares",
-    "euler_totient",
-    "euler_zeta_check",
-    "eval_at_one",
-    "exp_transform",
-    "exponent_power_sum",
-    "factorize",
-    "four_square_counts",
-    "generalized_theta",
-    "geometric_factor",
-    "moment",
-    "normalize",
-    "partition_count",
-    "partition_product_check",
-    "prime_count_upto",
-    "primes_4k1_count",
-    "primes_upto",
-    "ps_add",
-    "ps_eval",
-    "ps_mul",
-    "ps_pow",
-    "ps_pow_recurrence",
-    "range_values",
-    "theta_series",
-    "trial_factorize",
-    "truncated_product_eval",
-    "truncated_sum_eval",
-    "two_square_counts",
-    "verify_decomposable",
-    "verify_lemma_g",
-    "verify_per_term",
-    "waring_counts",
-]

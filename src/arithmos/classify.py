@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import eq as exact_eq
 from typing import Callable, Union
 
-from .core import build_sieve, factorize, primes_upto
+from .core import build_sieve, factorize
 
 Value = Union[int, Fraction, float]
 
@@ -124,7 +125,7 @@ def evaluate_range(f: ArithFnHandle, bound: int) -> list[Value]:
 def _equal(kind: str) -> Callable[[Value, Value], bool]:
     if kind == "real":
         return lambda a, b: abs(a - b) <= REAL_TOL
-    return lambda a, b: a == b
+    return exact_eq
 
 
 def classify(f: ArithFnHandle, bound: int) -> ClassificationReport:
@@ -136,27 +137,26 @@ def classify(f: ArithFnHandle, bound: int) -> ClassificationReport:
         raise ValueError(f"{f.name} is identically zero on 1..{bound}")
     eq = _equal(f.value_kind)
 
+    # Each pair tests the product and the sum equation once; a failure is a
+    # witness for the complete law at once and for the coprime-only law when
+    # gcd(m, n) = 1. Pairs are scanned in a fixed order, so every witness is
+    # the first violating pair of its law.
     witnesses: dict[str, tuple[int, int]] = {}
-    laws = {
-        "multiplicative": lambda m, n: eq(v[m * n], v[m] * v[n]),
-        "completely_multiplicative": lambda m, n: eq(v[m * n], v[m] * v[n]),
-        "additive": lambda m, n: eq(v[m * n], v[m] + v[n]),
-        "completely_additive": lambda m, n: eq(v[m * n], v[m] + v[n]),
-    }
-    coprime_only = {"multiplicative": True, "completely_multiplicative": False,
-                    "additive": True, "completely_additive": False}
-
     m = 1
     while m * m <= bound and len(witnesses) < 4:
+        vm = v[m]
         for n in range(m, bound // m + 1):
-            coprime = gcd(m, n) == 1
-            for law, check in laws.items():
-                if law in witnesses:
-                    continue
-                if coprime_only[law] and not coprime:
-                    continue
-                if not check(m, n):
-                    witnesses[law] = (m, n)
+            vmn, vn = v[m * n], v[n]
+            if not eq(vmn, vm * vn):
+                if "completely_multiplicative" not in witnesses:
+                    witnesses["completely_multiplicative"] = (m, n)
+                if "multiplicative" not in witnesses and gcd(m, n) == 1:
+                    witnesses["multiplicative"] = (m, n)
+            if not eq(vmn, vm + vn):
+                if "completely_additive" not in witnesses:
+                    witnesses["completely_additive"] = (m, n)
+                if "additive" not in witnesses and gcd(m, n) == 1:
+                    witnesses["additive"] = (m, n)
             if len(witnesses) == 4:
                 break
         m += 1
@@ -171,24 +171,6 @@ def classify(f: ArithFnHandle, bound: int) -> ClassificationReport:
         witnesses=witnesses,
         approximate=f.value_kind == "real",
     )
-
-
-def extract_local_factor(
-    f: ArithFnHandle, prime_bound: int, exp_bound: int
-) -> dict[tuple[int, int], Value]:
-    """The table g(p, a) = f(p^a) for primes p <= prime_bound, 1 <= a <= exp_bound."""
-    if prime_bound < 2 or exp_bound < 1:
-        raise ValueError("need prime_bound >= 2 and exp_bound >= 1")
-    table: dict[tuple[int, int], Value] = {}
-    for p in primes_upto(prime_bound):
-        pw = 1
-        for a in range(1, exp_bound + 1):
-            pw *= p
-            try:
-                table[(p, a)] = f.eval(pw)
-            except Exception as exc:
-                raise EvaluationError(f.name, pw, exc) from exc
-    return table
 
 
 _MEMORY_NOTE = (
@@ -207,28 +189,18 @@ def verify_decomposable(f: ArithFnHandle, mode: str, bound: int) -> Decomposabil
     v = evaluate_range(f, bound)
     eq = _equal(f.value_kind)
     sieve = build_sieve(bound)
-    local: dict[tuple[int, int], Value] = {}
-
-    def g(p: int, a: int) -> Value:
-        key = (p, a)
-        if key not in local:
-            try:
-                local[key] = f.eval(p**a)
-            except Exception as exc:
-                raise EvaluationError(f.name, p**a, exc) from exc
-        return local[key]
-
     witness = None
     for n in range(2, bound + 1):
-        fac = factorize(n, sieve)
+        # g(p, a) = f(p^a) is read from the range itself: p^a <= n <= bound
+        factors = factorize(n, sieve).factors
         if mode == "multiplicative":
             combined: Value = 1
-            for p, a in fac.factors:
-                combined = combined * g(p, a)
+            for p, a in factors:
+                combined = combined * v[p**a]
         else:
             combined = 0
-            for p, a in fac.factors:
-                combined = combined + g(p, a)
+            for p, a in factors:
+                combined = combined + v[p**a]
         if not eq(v[n], combined):
             witness = n
             break

@@ -8,8 +8,9 @@ header row. Exact rationals are rendered as ``num/den`` in lowest terms;
 very large rationals (truncation gaps) are rendered as fixed-precision
 decimals.
 
-Exit codes: 0 success / all checks passed, 1 runtime failure or a failed
-check (the report is still written), 2 bad arguments.
+Exit codes: 0 success / all checks passed, 1 runtime failure (reported as
+``error: <message>`` on stderr) or a failed check (the report is still
+written), 2 bad arguments.
 """
 
 from __future__ import annotations
@@ -47,34 +48,42 @@ LEMMA_DIRECT = {
     "lemma-d": (None, "L"),
 }
 
-#: Largest range accepted by table --nmax, classify --bound, probnum --M and
-#: the lemma identities' verify --nmax; checked before any sieve is built.
+#: Largest value accepted by the size flags (table --nmax, classify --bound,
+#: probnum --M, waring --order, verify --nmax/--order/--prime-bound); checked
+#: before anything of that size is allocated.
 RANGE_CEILING = 10**7
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
-
-
-def _check_range(value: int, flag: str, least: int) -> None:
-    if value < least:
+def _check_range(value: int, flag: str, least: int | None = None) -> None:
+    if least is not None and value < least:
         raise click.UsageError(f"{flag} must be >= {least}")
     if value > RANGE_CEILING:
         raise click.UsageError(f"{flag} must be <= {RANGE_CEILING} (the range ceiling), got {value}")
+
+
+def _usage(setup, *args, **kwargs):
+    """Call a setup function whose ValueError means a bad argument (exit 2)."""
+    try:
+        return setup(*args, **kwargs)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _decimal(value: Fraction) -> str:
     return f"{float(value):.12e}"
 
 
-def _structured(command: str, params: dict, body: dict) -> str:
+def _structured(body: dict) -> str:
+    """The report of the running subcommand; its parameters are the invocation's, less ``out``."""
+    ctx = click.get_current_context()
     doc = {
         "header": {
             "artifact": "arithmos",
             "version": __version__,
-            "command": command,
-            "parameters": params,
+            "command": ctx.command.name,
+            "parameters": {
+                ("M" if name == "m" else name): value for name, value in ctx.params.items() if name != "out"
+            },
         },
         "body": body,
     }
@@ -115,7 +124,25 @@ def _normalize_config(raw: dict) -> dict:
     return out
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _Runner(click.Command):
+    """Runs a subcommand body: click's own errors pass through (exit 2), and
+    any other failure becomes ``error: <message>`` on stderr with exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except click.ClickException:
+            raise
+        except Exception as exc:  # noqa: BLE001
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+class _Group(click.Group):
+    command_class = _Runner
+
+
+@click.group(cls=_Group, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(version=__version__, prog_name="arithmos")
 @click.option(
     "--config",
@@ -143,18 +170,14 @@ def cli(ctx: click.Context, config: str | None) -> None:
 def table(fn: str, t: int | None, nmax: int, format: str, out: str | None) -> None:
     """Write (n, f(n)) rows for n = 1..NMAX."""
     _check_range(nmax, "--nmax", 1)
-    try:
-        handle = make_handle(fn, t=t, sieve=build_sieve(max(nmax, 2)))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    handle = _usage(make_handle, fn, t=t, sieve=build_sieve(max(nmax, 2)))
     values = evaluate_range(handle, nmax)
-    params = {"fn": fn, "t": t, "nmax": nmax, "format": format}
     if format == "csv":
         text = _csv(("n", "value"), ((n, values[n]) for n in range(1, nmax + 1)))
     else:
         rows = [[n, str(values[n])] for n in range(1, nmax + 1)]
         del values  # JSON rendering is the memory peak; free the table first
-        text = _structured("table", params, {"function": handle.name, "rows": rows})
+        text = _structured({"function": handle.name, "rows": rows})
     _emit(text, out)
 
 
@@ -177,29 +200,23 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
            gap_tol: str | None, out: str | None) -> None:
     """Verify an identity; exit 0 only if every requested check passes."""
     gap_tol_value = _parse_rational_opt(gap_tol, "--gap-tol")
-    params = {
-        "identity": identity, "t": t, "nmax": nmax, "order": order, "s": s,
-        "prime_bound": prime_bound, "exp_bound": exp_bound, "x": x,
-        "k": k, "gap_tol": gap_tol,
-    }
     body: dict = {}
     all_passed = True
 
     if identity in LEMMA_DIRECT:
         _check_range(nmax, "--nmax", 2)
-        try:
-            spec = builtin_spec(identity, t=t)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        spec = _usage(builtin_spec, identity, t=t)
+        x_value = _parse_rational_opt(x, "--x")
+        k_value = 2 if k is None else k
+        if x_value is not None:
+            if k_value < 2:
+                raise click.UsageError("--k must be an integer >= 2")
+            _check_range(prime_bound, "--prime-bound")
         sieve = build_sieve(nmax)
         alpha_id, beta_id = LEMMA_DIRECT[identity]
         direct_alpha = constant_one() if alpha_id is None else make_handle(alpha_id, t=t, sieve=sieve)
         direct_beta = make_handle(beta_id, t=t if beta_id == "L" else None, sieve=sieve)
-        try:
-            report = verify_per_term(spec, direct_alpha, direct_beta, nmax, sieve=sieve)
-        except Exception as exc:  # noqa: BLE001
-            _fail(exc)
-            return
+        report = verify_per_term(spec, direct_alpha, direct_beta, nmax, sieve=sieve)
         body["per_term"] = {
             "spec": spec.name,
             "n_max": nmax,
@@ -207,16 +224,8 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
             "passed": report.passed,
         }
         all_passed &= report.passed
-        if x is not None:
-            x_value = _parse_rational_opt(x, "--x")
-            k_value = 2 if k is None else k
-            if k_value < 2:
-                raise click.UsageError("--k must be an integer >= 2")
-            try:
-                num = numeric_identity_check(spec, x_value, k_value, prime_bound, exp_bound, nmax, sieve=sieve)
-            except Exception as exc:  # noqa: BLE001
-                _fail(exc)
-                return
+        if x_value is not None:
+            num = numeric_identity_check(spec, x_value, k_value, prime_bound, exp_bound, nmax, sieve=sieve)
             numeric_passed = None if gap_tol_value is None else num.gap <= gap_tol_value
             body["numeric"] = {
                 "x": format_rational(num.x),
@@ -235,13 +244,9 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
     elif identity == "euler-product":
         if s < 2:
             raise click.UsageError("--s must be an integer >= 2")
-        if nmax < 1:
-            raise click.UsageError("--nmax must be >= 1")
-        try:
-            check = euler_zeta_check(s, nmax, prime_bound)
-        except Exception as exc:  # noqa: BLE001
-            _fail(exc)
-            return
+        _check_range(nmax, "--nmax", 1)
+        _check_range(prime_bound, "--prime-bound")
+        check = euler_zeta_check(s, nmax, prime_bound)
         euler_passed = None if gap_tol_value is None else check.gap <= gap_tol_value
         body["euler"] = {
             "s": s,
@@ -256,13 +261,8 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
         if euler_passed is False:
             all_passed = False
     else:  # partition-product
-        if order < 1:
-            raise click.UsageError("--order must be >= 1")
-        try:
-            report = partition_product_check(order)
-        except Exception as exc:  # noqa: BLE001
-            _fail(exc)
-            return
+        _check_range(order, "--order", 1)
+        report = partition_product_check(order)
         body["partition_product"] = {
             "order": order,
             "failures": list(report.per_term_failures),
@@ -271,7 +271,7 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
         all_passed &= report.passed
 
     body["all_passed"] = bool(all_passed)
-    _emit(_structured("verify", params, body), out)
+    _emit(_structured(body), out)
     if not all_passed:
         sys.exit(1)
 
@@ -286,20 +286,11 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
 def classify_cmd(fn: str, t: int | None, bound: int, decomposable: str | None, out: str | None) -> None:
     """Classify a function over 1..BOUND; the verdict lives in the report."""
     _check_range(bound, "--bound", 4)
-    try:
-        handle = make_handle(fn, t=t, sieve=build_sieve(bound))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        report = run_classification(handle, bound)
-        body = report.to_dict()
-        if decomposable:
-            body["decomposable"] = verify_decomposable(handle, decomposable, bound).to_dict()
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
-        return
-    params = {"fn": fn, "t": t, "bound": bound, "decomposable": decomposable}
-    _emit(_structured("classify", params, body), out)
+    handle = _usage(make_handle, fn, t=t, sieve=build_sieve(bound))
+    body = run_classification(handle, bound).to_dict()
+    if decomposable:
+        body["decomposable"] = verify_decomposable(handle, decomposable, bound).to_dict()
+    _emit(_structured(body), out)
 
 
 @cli.command()
@@ -317,52 +308,39 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
     """Representation-count tables for sums of s-th powers, with cross-checks."""
     if s < 2 or s % 2:
         raise click.UsageError(f"odd power s={s} is unsupported; use an even s >= 2")
-    if order < 0:
-        raise click.UsageError("--order must be >= 0")
+    _check_range(order, "--order", 0)
     if t is None and lemma_g is None:
         raise click.UsageError("provide --t for a count table and/or --lemma-g T R")
     if t is not None and t < 1:
         raise click.UsageError("--t must be >= 1")
+    if lemma_g is not None and min(lemma_g) < 1:
+        raise click.UsageError("--lemma-g arguments must be >= 1")
 
-    params = {"s": s, "t": t, "order": order,
-              "check_bruteforce": check_bruteforce,
-              "lemma_g": list(lemma_g) if lemma_g else None,
-              "format": format}
     body: dict = {}
     all_passed = True
-    counts = None
-    try:
-        if t is not None:
-            counts = waring_counts(s, t, order)
-            body["counts"] = list(counts.counts)
-            if check_bruteforce is not None:
-                top = min(check_bruteforce, order)
-                mismatches = [
-                    m for m in range(top + 1)
-                    if counts.counts[m] != brute_force_count(m, s, t)
-                ]
-                body["bruteforce_check"] = {
-                    "limit": top, "mismatches": mismatches, "passed": not mismatches,
-                }
-                all_passed &= not mismatches
-        if lemma_g is not None:
-            t_part, r_part = lemma_g
-            if t_part < 1 or r_part < 1:
-                raise click.UsageError("--lemma-g arguments must be >= 1")
-            conv = verify_lemma_g(s, t_part, r_part, order)
-            body["convolution_check"] = conv.to_dict()
-            all_passed &= conv.ok
-    except click.UsageError:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
-        return
+    if t is not None:
+        counts = waring_counts(s, t, order)
+        body["counts"] = list(counts.counts)
+        if check_bruteforce is not None:
+            top = min(check_bruteforce, order)
+            mismatches = [
+                m for m in range(top + 1)
+                if counts.counts[m] != brute_force_count(m, s, t)
+            ]
+            body["bruteforce_check"] = {
+                "limit": top, "mismatches": mismatches, "passed": not mismatches,
+            }
+            all_passed &= not mismatches
+    if lemma_g is not None:
+        conv = verify_lemma_g(s, *lemma_g, order)
+        body["convolution_check"] = conv.to_dict()
+        all_passed &= conv.ok
 
     body["all_passed"] = bool(all_passed)
-    if format == "csv" and counts is not None:
+    if format == "csv" and t is not None:
         _emit(_csv(("m", "count"), enumerate(counts.counts)), out)
     else:
-        _emit(_structured("waring", params, body), out)
+        _emit(_structured(body), out)
     if not all_passed:
         sys.exit(1)
 
@@ -380,21 +358,9 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
 def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str | None) -> None:
     """Exponent histogram over 1..M, its exact PMF, and the first four moments."""
     _check_range(m, "--M", 1)
-    try:
-        handle = make_handle(beta, t=t, sieve=build_sieve(max(m, 2)))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        poly = build_polynomial(handle, m)
-        pmf = normalize(poly)
-        at_one = eval_at_one(poly)
-        moments = {str(r): format_rational(moment(pmf, r)) for r in (1, 2, 3, 4)}
-        total = sum(q for _, q in pmf.support)
-        scan = shifted_sign_scan(poly) if roots else None
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
-        return
-    params = {"beta": beta, "t": t, "M": m, "roots": roots, "format": format}
+    handle = _usage(make_handle, beta, t=t, sieve=build_sieve(max(m, 2)))
+    poly = build_polynomial(handle, m)
+    pmf = normalize(poly)
     if format == "csv":
         rows = [(value, format_rational(q)) for value, q in pmf.support]
         _emit(_csv(("value", "probability"), rows), out)
@@ -403,15 +369,15 @@ def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str
         "beta": handle.name,
         "M": m,
         "polynomial": [[value, count] for value, count in poly.terms],
-        "eval_at_one": at_one,
+        "eval_at_one": eval_at_one(poly),
         "expected_at_one": m + 1,
         "pmf": [[value, format_rational(q)] for value, q in pmf.support],
-        "total_probability": format_rational(total),
-        "moments": moments,
+        "total_probability": format_rational(sum(q for _, q in pmf.support)),
+        "moments": {str(r): format_rational(moment(pmf, r)) for r in (1, 2, 3, 4)},
     }
-    if scan is not None:
-        body["root_scan"] = scan
-    _emit(_structured("probnum", params, body), out)
+    if roots:
+        body["root_scan"] = shifted_sign_scan(poly)
+    _emit(_structured(body), out)
 
 
 def main() -> None:

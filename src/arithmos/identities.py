@@ -45,14 +45,6 @@ class LocalFactorSpec:
     kappa: Callable[[int, int], int]
 
 
-@dataclass(frozen=True)
-class AlphaBeta:
-    """The induced pair at one n: alpha multiplies, beta adds over prime powers."""
-
-    alpha: Rational
-    beta: int
-
-
 class NumericCheck(NamedTuple):
     x: Fraction
     prime_bound: int
@@ -64,27 +56,26 @@ class NumericCheck(NamedTuple):
 
 @dataclass(frozen=True)
 class IdentityCheckReport:
-    """Result of per-term and/or numeric verification for one spec."""
+    """Per-term failures of one spec (or of the partition product) up to ``n_max``."""
 
     spec_name: str
     n_max: int
-    k: int | None = None
     per_term_failures: tuple[int, ...] = ()
-    numeric_check: NumericCheck | None = None
 
     @property
     def passed(self) -> bool:
         return not self.per_term_failures
 
 
-def alpha_beta(spec: LocalFactorSpec, f: Factorization) -> AlphaBeta:
-    """Combine the local tables over a factorization; n = 1 gives (1, 0)."""
+def alpha_beta(spec: LocalFactorSpec, f: Factorization) -> tuple[Rational, int]:
+    """The pair (alpha, beta) at one n: alpha multiplies theta and beta adds
+    kappa over the factorization; n = 1 gives (1, 0)."""
     alpha: Rational = 1
     beta = 0
     for p, a in f.factors:
         alpha = alpha * spec.theta(p, a)
         beta += spec.kappa(p, a)
-    return AlphaBeta(alpha, beta)
+    return alpha, beta
 
 
 def builtin_spec(which: str, t: int | None = None) -> LocalFactorSpec:
@@ -136,8 +127,8 @@ def verify_per_term(
     direct_b = evaluate_range(direct_beta, n_max)
     failures = []
     for n in range(2, n_max + 1):
-        ab = alpha_beta(spec, factorize(n, sieve))
-        if ab.alpha != direct_a[n] or ab.beta != direct_b[n]:
+        alpha, beta = alpha_beta(spec, factorize(n, sieve))
+        if alpha != direct_a[n] or beta != direct_b[n]:
             failures.append(n)
     return IdentityCheckReport(spec.name, n_max=n_max, per_term_failures=tuple(failures))
 
@@ -211,10 +202,10 @@ def truncated_sum_eval(
     xpow: dict[int, Fraction] = {}
     terms = []
     for n in range(2, n_max + 1):
-        ab = alpha_beta(spec, factorize(n, sieve))
-        if ab.beta not in xpow:
-            xpow[ab.beta] = xf**ab.beta
-        terms.append(Fraction(ab.alpha) * xpow[ab.beta] / n**k)
+        alpha, beta = alpha_beta(spec, factorize(n, sieve))
+        if beta not in xpow:
+            xpow[beta] = xf**beta
+        terms.append(Fraction(alpha) * xpow[beta] / n**k)
     return 1 + exact_sum(terms)
 
 

@@ -6,9 +6,6 @@ series worked modulo ``x^(N+1)``. Coefficients are Python ints or
 comparisons stay exact. Binary operations require equal orders rather
 than silently truncating to the shorter operand — the mismatch is almost
 always a bug in the caller.
-
-The text serialization is one rational per line as ``num/den`` preceded
-by a header line carrying the order; round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -16,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-from .core import trial_factorize
 
 Rational = Union[int, Fraction]
 
@@ -180,38 +175,3 @@ def ps_eval(a: TruncatedSeries, x: Rational) -> Rational:
     for c in reversed(a.coeffs):
         acc = acc * x + c
     return as_rational(acc)
-
-
-def geometric_factor(p: int, k: int, order: int) -> TruncatedSeries:
-    """The two-term series ``1 + x / (p^k - 1)`` at the given order.
-
-    This is the closed form of ``1 + x (p^-k + p^-2k + ...)``: the full
-    geometric inner sum attached to one prime.
-    """
-    if p < 2 or trial_factorize(p).factors != ((p, 1),):
-        raise ValueError(f"p must be prime, got {p}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if order < 1:
-        raise ValueError(f"order must be >= 1 to hold the linear term, got {order}")
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    coeffs[1] = Fraction(1, p**k - 1)
-    return TruncatedSeries(order, tuple(coeffs))
-
-
-def to_text(a: TruncatedSeries) -> str:
-    """Serialize: header line with the order, then one ``num/den`` per line."""
-    lines = [str(a.order)]
-    lines.extend(format_rational(c) for c in a.coeffs)
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> TruncatedSeries:
-    """Parse the :func:`to_text` format back into a series."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty series text")
-    order = int(lines[0])
-    coeffs = tuple(parse_rational(ln) for ln in lines[1:])
-    return TruncatedSeries(order, coeffs)

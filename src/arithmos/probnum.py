@@ -40,15 +40,6 @@ class Pmf:
 
     support: tuple[tuple[int, Fraction], ...]
 
-    def probability(self, value: int) -> Fraction:
-        for s, q in self.support:
-            if s == value:
-                return q
-        return Fraction(0)
-
-    def to_dict(self) -> dict:
-        return {"support": [[s, format_rational(q)] for s, q in self.support]}
-
 
 def build_polynomial(beta: ArithFnHandle, M: int) -> ArithPolynomial:
     """Histogram of beta(n) over n = 1..M; beta must be nonnegative-integer valued."""

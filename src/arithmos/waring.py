@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .core import SieveTable
 from .powerseries import TruncatedSeries, ps_mul, ps_pow
 
 
@@ -116,16 +115,6 @@ def correlation_counts(order: int) -> tuple[int, ...]:
     the four-square count sequence including its constant 1.
     """
     return tuple(ps_pow(theta_series(order), 8).coeffs)
-
-
-def primes_4k1_count(n: int, sieve: SieveTable) -> int:
-    """Number of primes p <= n with p = 1 (mod 4)."""
-    if n < 1:
-        raise ValueError(f"need a positive integer, got {n}")
-    if n > sieve.limit:
-        raise ValueError(f"{n} exceeds sieve limit {sieve.limit}")
-    spf = sieve.spf
-    return sum(1 for p in range(5, n + 1) if spf[p] == p and p % 4 == 1)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from arithmos.classify import (
     EvaluationError,
     classify,
     exp_transform,
-    extract_local_factor,
     verify_decomposable,
 )
 from arithmos.functions import make_handle
@@ -98,23 +97,9 @@ def test_evaluation_error_carries_argument():
 
 # --- prime-power tables -------------------------------------------------------
 
-def test_local_factor_of_divisor_count(handles):
-    table = extract_local_factor(handles["d"], 50, 6)
-    for (p, a), val in table.items():
-        assert val == a + 1
-
-
-def test_local_factor_spot_values(handles):
-    table = extract_local_factor(handles["sigma1"], 10, 3)
-    assert table[(2, 2)] == 7
-    omega_table = extract_local_factor(handles["omega"], 30, 5)
-    assert set(omega_table.values()) == {1}
-
-
 def test_local_factor_beyond_sieve(handles):
-    # p^a far above the sieve limit still evaluates via trial division
-    table = extract_local_factor(handles["d"], 100, 20)
-    assert table[(97, 20)] == 21
+    # g(97, 20) = d(97^20): far above the sieve limit, eval falls back to trial division
+    assert handles["d"].eval(97**20) == 21
 
 
 def test_decomposable_multiplicative(handles):

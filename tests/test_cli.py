@@ -234,6 +234,20 @@ def test_repeat_runs_identical():
     assert run(*args).output == run(*args).output
 
 
+@pytest.mark.parametrize("args", [
+    ("table", "--fn", "d", "--nmax", "10"),
+    ("verify", "--identity", "lemma-c", "--nmax", "30"),
+    ("classify", "--fn", "d", "--bound", "30"),
+    ("waring", "--s", "2", "--t", "2", "--order", "10"),
+    ("probnum", "--beta", "omega", "--M", "10"),
+], ids=lambda args: args[0])
+def test_runtime_failure_is_one_error_line(args, tmp_path):
+    res = run(*args, "--out", str(tmp_path / "missing" / "x"))
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: ")
+    assert res.stderr.count("\n") == 1
+
+
 def test_out_writes_file(tmp_path):
     target = tmp_path / "report.json"
     res = run("probnum", "--beta", "omega", "--M", "10", "--out", str(target))
@@ -266,6 +280,11 @@ def test_version_flag():
     ("classify", "--fn", "d", "--bound"),
     ("probnum", "--beta", "omega", "--M"),
     ("verify", "--identity", "lemma-a", "--nmax"),
+    ("verify", "--identity", "lemma-a", "--nmax", "100", "--x", "1/2", "--prime-bound"),
+    ("verify", "--identity", "euler-product", "--nmax"),
+    ("verify", "--identity", "euler-product", "--prime-bound"),
+    ("verify", "--identity", "partition-product", "--order"),
+    ("waring", "--s", "2", "--t", "4", "--order"),
 ])
 def test_range_above_ceiling_rejected_before_allocation(args):
     # only ceiling + 1 is ever tried: it is refused before any sieve is built
@@ -276,7 +295,8 @@ def test_range_above_ceiling_rejected_before_allocation(args):
 
 # --- report bytes ------------------------------------------------------------------------
 
-# sha256 of stdout, recorded from the per-n evaluation path that the range tables replaced
+# sha256 of stdout; each recorded before the change it guards (the first eight before
+# the range tables replaced per-n evaluation, the rest before the CLI's one runner)
 REPORT_SHA256 = [
     (("table", "--fn", "d", "--nmax", "2000"),
      "433ac41b4c38bffc55a95e5733330efaeb2fd3e84633057b975a33b990b098e9"),
@@ -294,6 +314,17 @@ REPORT_SHA256 = [
      "818107404532395fbb44ca6ea97adf39a3feb53824eacb9834c11a45724e05c0"),
     (("verify", "--identity", "lemma-b", "--t", "2", "--nmax", "2000"),
      "defada329cad3e83ffd974fffd754f0ab2acbe4bf67bdef8138a83bbbcc96ae1"),
+    (("verify", "--identity", "lemma-a", "--nmax", "2000", "--x", "1/2", "--prime-bound", "100",
+      "--exp-bound", "8"),
+     "4693850e149af47f1826ea2957d89d648555b177004ce4f596858016974ef1c4"),
+    (("verify", "--identity", "euler-product", "--s", "2", "--nmax", "2000", "--prime-bound", "500"),
+     "f3b66456c12731c6441b1fddd871917d21f402977884cc37796ebf732f45d708"),
+    (("verify", "--identity", "partition-product", "--order", "500"),
+     "afcc46860a89f053bc9e792386ad6d0bb675761eeefea5f0f5fa11049d3edfb4"),
+    (("waring", "--t", "4", "--s", "2", "--order", "500"),
+     "203d71245442dd85426dc33b00c762c86391f7e44a803d2973414f8cd96239aa"),
+    (("waring", "--lemma-g", "2", "2", "--s", "2", "--order", "256", "--format", "structured"),
+     "549f6ae06fa8f5f4e2776277785370e04b9a3e99ca2f74bf0b298ae1aced1c4b"),
 ]
 
 

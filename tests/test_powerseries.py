@@ -7,27 +7,18 @@ from hypothesis import strategies as st
 from arithmos.powerseries import (
     TruncatedSeries,
     format_rational,
-    from_text,
-    geometric_factor,
     parse_rational,
     ps_add,
     ps_eval,
     ps_mul,
     ps_pow,
     ps_pow_recurrence,
-    to_text,
 )
 
 coeff = st.one_of(
     st.integers(min_value=-9, max_value=9),
     st.fractions(min_value=-4, max_value=4, max_denominator=6),
 )
-
-
-def series(order_min=0, order_max=10):
-    return st.integers(order_min, order_max).flatmap(
-        lambda n: st.lists(coeff, min_size=n + 1, max_size=n + 1).map(TruncatedSeries.from_coeffs)
-    )
 
 
 def test_add_examples():
@@ -86,16 +77,6 @@ def test_eval_examples():
     a = TruncatedSeries.from_coeffs([1, 2, 1])
     assert ps_eval(a, 0) == 1
     assert ps_eval(a, Fraction(1, 2)) == Fraction(9, 4)
-
-
-def test_geometric_factor_values():
-    assert geometric_factor(2, 1, 1).coeffs == (1, 1)
-    assert geometric_factor(3, 2, 2).coeffs == (1, Fraction(1, 8), 0)
-    assert geometric_factor(2, 2, 1).coeffs == (1, Fraction(1, 3))
-    with pytest.raises(ValueError):
-        geometric_factor(4, 1, 1)
-    with pytest.raises(ValueError):
-        geometric_factor(2, 0, 1)
 
 
 def test_floats_rejected():
@@ -188,18 +169,3 @@ def test_rational_formatting():
     assert format_rational(Fraction(2, -4)) == "-1/2"
     assert parse_rational("-1/2") == Fraction(-1, 2)
     assert parse_rational("7") == 7
-
-
-def test_text_round_trip_examples():
-    s = TruncatedSeries.from_coeffs([1, Fraction(1, 3), -2])
-    text = to_text(s)
-    assert text == "2\n1/1\n1/3\n-2/1\n"
-    assert from_text(text) == s
-    assert to_text(from_text(text)) == text
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(series(0, 12))
-def test_text_round_trip_random(s):
-    assert from_text(to_text(s)) == s
-    assert to_text(from_text(to_text(s))) == to_text(s)

@@ -9,7 +9,6 @@ from arithmos.waring import (
     four_square_counts,
     generalized_theta,
     integer_root,
-    primes_4k1_count,
     theta_series,
     two_square_counts,
     verify_lemma_g,
@@ -112,14 +111,6 @@ def test_correlation_is_self_convolution_of_four_square_counts():
         assert r[n] == sum(j[i] * j[n - i] for i in range(n + 1))
 
 
-def test_primes_4k1_counts(sieve10k):
-    assert primes_4k1_count(4, sieve10k) == 0
-    assert primes_4k1_count(13, sieve10k) == 2
-    assert primes_4k1_count(100, sieve10k) == 11
-    with pytest.raises(ValueError):
-        primes_4k1_count(10**4 + 1, sieve10k)
-
-
 def test_power_convolution_identity():
     assert verify_lemma_g(2, 2, 2, 128).ok
     assert verify_lemma_g(2, 1, 1, 128).ok
@@ -129,16 +120,6 @@ def test_power_convolution_identity():
 def test_power_convolution_validation():
     with pytest.raises(ValueError):
         verify_lemma_g(2, 0, 1, 16)
-
-
-def test_one_mod_four_primes_are_roughly_half(sieve100k):
-    from fractions import Fraction
-
-    from arithmos.core import prime_count_upto
-
-    n = 10**5
-    ratio = Fraction(primes_4k1_count(n, sieve100k), prime_count_upto(n, sieve100k))
-    assert Fraction(40, 100) <= ratio <= Fraction(60, 100)
 
 
 def test_integer_root_spot_values():
