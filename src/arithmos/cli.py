@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import chain, islice
 from pathlib import Path
 
 import click
@@ -36,7 +38,7 @@ from .identities import (
 )
 from .powerseries import format_rational, parse_rational
 from .probnum import build_polynomial, eval_at_one, moment, normalize, shifted_sign_scan
-from .waring import brute_force_count, verify_lemma_g, waring_counts
+from .waring import brute_force_count, integer_root, verify_lemma_g, waring_counts
 
 IDENTITY_IDS = ("lemma-a", "lemma-b", "lemma-c", "lemma-d", "euler-product", "partition-product")
 
@@ -49,9 +51,13 @@ LEMMA_DIRECT = {
 }
 
 #: Largest value accepted by the size flags (table --nmax, classify --bound,
-#: probnum --M, waring --order, verify --nmax/--order/--prime-bound); checked
-#: before anything of that size is allocated.
+#: probnum --M, waring --order, verify --nmax/--order/--prime-bound/--exp-bound)
+#: and by the enumeration of waring --check-bruteforce; checked before anything
+#: of that size is allocated or run.
 RANGE_CEILING = 10**7
+
+#: Report chunks joined per write: the whole text of a large report is never held at once.
+EMIT_BATCH = 4096
 
 
 def _check_range(value: int, flag: str, least: int | None = None) -> None:
@@ -73,8 +79,9 @@ def _decimal(value: Fraction) -> str:
     return f"{float(value):.12e}"
 
 
-def _structured(body: dict) -> str:
-    """The report of the running subcommand; its parameters are the invocation's, less ``out``."""
+def _structured(body: dict) -> Iterator[str]:
+    """The report of the running subcommand, as JSON text chunks; its parameters are the
+    invocation's, less ``out``."""
     ctx = click.get_current_context()
     doc = {
         "header": {
@@ -87,21 +94,26 @@ def _structured(body: dict) -> str:
         },
         "body": body,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc), ("\n",))
 
 
-def _csv(header: tuple[str, ...], rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: tuple[str, ...], rows) -> Iterator[str]:
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write a report's text chunks to ``out`` or stdout, joined in batches of EMIT_BATCH."""
+    chunks = iter(chunks)
+    batches = iter(lambda: "".join(islice(chunks, EMIT_BATCH)), "")
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with Path(out).open("w", encoding="utf-8") as fh:
+            fh.writelines(batches)
         click.echo(f"wrote {out}", err=True)
     else:
-        click.echo(text, nl=False)
+        for batch in batches:
+            click.echo(batch, nl=False)
 
 
 def _parse_rational_opt(raw: str | None, flag: str) -> Fraction | None:
@@ -173,12 +185,12 @@ def table(fn: str, t: int | None, nmax: int, format: str, out: str | None) -> No
     handle = _usage(make_handle, fn, t=t, sieve=build_sieve(max(nmax, 2)))
     values = evaluate_range(handle, nmax)
     if format == "csv":
-        text = _csv(("n", "value"), ((n, values[n]) for n in range(1, nmax + 1)))
+        report = _csv(("n", "value"), ((n, values[n]) for n in range(1, nmax + 1)))
     else:
         rows = [[n, str(values[n])] for n in range(1, nmax + 1)]
-        del values  # JSON rendering is the memory peak; free the table first
-        text = _structured({"function": handle.name, "rows": rows})
-    _emit(text, out)
+        del values  # the rows hold the report's memory peak; free the table first
+        report = _structured({"function": handle.name, "rows": rows})
+    _emit(report, out)
 
 
 @cli.command()
@@ -212,6 +224,7 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
             if k_value < 2:
                 raise click.UsageError("--k must be an integer >= 2")
             _check_range(prime_bound, "--prime-bound")
+            _check_range(exp_bound, "--exp-bound", 1)
         sieve = build_sieve(nmax)
         alpha_id, beta_id = LEMMA_DIRECT[identity]
         direct_alpha = constant_one() if alpha_id is None else make_handle(alpha_id, t=t, sieve=sieve)
@@ -315,6 +328,18 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
         raise click.UsageError("--t must be >= 1")
     if lemma_g is not None and min(lemma_g) < 1:
         raise click.UsageError("--lemma-g arguments must be >= 1")
+    if check_bruteforce is not None:
+        if check_bruteforce < 0:
+            raise click.UsageError("--check-bruteforce must be >= 0")
+        top = min(check_bruteforce, order)
+        base = integer_root(top, s) + 1
+        # base**t tuples bound the enumeration; an exponent past the ceiling's bit length
+        # already decides the comparison for base >= 2, so base**t is never built huge
+        if t is not None and base ** min(t, RANGE_CEILING.bit_length()) > RANGE_CEILING:
+            raise click.UsageError(
+                f"--check-bruteforce {top} enumerates up to {base}**{t} tuples, "
+                f"more than the range ceiling {RANGE_CEILING}"
+            )
 
     body: dict = {}
     all_passed = True
@@ -322,11 +347,8 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
         counts = waring_counts(s, t, order)
         body["counts"] = list(counts.counts)
         if check_bruteforce is not None:
-            top = min(check_bruteforce, order)
-            mismatches = [
-                m for m in range(top + 1)
-                if counts.counts[m] != brute_force_count(m, s, t)
-            ]
+            enumerated = brute_force_count(top, s, t)
+            mismatches = [m for m in range(top + 1) if counts.counts[m] != enumerated[m]]
             body["bruteforce_check"] = {
                 "limit": top, "mismatches": mismatches, "passed": not mismatches,
             }

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, NamedTuple, Sequence
 
 from .classify import ArithFnHandle, evaluate_range
@@ -258,15 +259,17 @@ def partition_product_series(order: int) -> TruncatedSeries:
     Multiplying by one truncated geometric factor is the in-place prefix
     recurrence c[i] += c[i - m], applied for each stride m; the result is
     identical to the dense truncated product but costs O(order^2) integer
-    additions overall.
+    additions overall. The recurrence runs in blocks of m: block
+    [i, i + m) adds the block before it, which is already final, so the
+    additions are the same and in the same order as one index at a time.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
     for m in range(1, order + 1):
-        for i in range(m, order + 1):
-            coeffs[i] += coeffs[i - m]
+        for i in range(m, order + 1, m):
+            coeffs[i:i + m] = map(add, coeffs[i:i + m], coeffs[i - m:i])
     return TruncatedSeries(order, tuple(coeffs))
 
 

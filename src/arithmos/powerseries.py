@@ -6,12 +6,24 @@ series worked modulo ``x^(N+1)``. Coefficients are Python ints or
 comparisons stay exact. Binary operations require equal orders rather
 than silently truncating to the shorter operand — the mismatch is almost
 always a bug in the caller.
+
+Multiplication is Kronecker substitution (Schönhage 1982; Harvey 2009):
+each operand is scaled to integers by the lcm of its denominators, its
+coefficients are packed into byte slots of one integer wide enough for
+every coefficient of the product, and one big-integer multiply does the
+convolution. The slot width comes from an exact bound on the product's
+coefficients, with a sign bit only when a coefficient is negative; the
+low ``N + 1`` slots are read back and divided once by the two scales.
+``ps_pow`` is binary powering over that product, and
+``ps_pow_recurrence`` is an independent O(N^2) route to the same power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from struct import pack, unpack_from
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -90,6 +102,14 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
 
 
+def _trusted(order: int, coeffs: tuple[Rational, ...]) -> TruncatedSeries:
+    """A series from coefficients already exact and collapsed, without revalidating each one."""
+    series = object.__new__(TruncatedSeries)
+    object.__setattr__(series, "order", order)
+    object.__setattr__(series, "coeffs", coeffs)
+    return series
+
+
 def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
@@ -101,41 +121,109 @@ def ps_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
 
-def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order.
+# struct codes (unsigned, signed) of the 1-, 2-, 4- and 8-byte slots, standard sizes under "<"
+_SLOT_CODES = {1: ("B", "b"), 2: ("H", "h"), 4: ("I", "i"), 8: ("Q", "q")}
 
-    Zero coefficients of the sparser operand are skipped, which makes
-    products of theta-like series cheap without changing the result.
+
+def _scaled(coeffs: tuple[Rational, ...]) -> tuple[tuple[int, ...] | list[int], int]:
+    """Integer numerators over the lcm ``D`` of the denominators, and ``D``."""
+    den = lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return coeffs, 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _slot_bytes(bits: int) -> int:
+    """Bytes per slot: 1, 2, 4 or 8 while that holds ``bits``, else the exact byte count."""
+    size = (bits + 7) // 8
+    return next((width for width in (1, 2, 4, 8) if size <= width), size)
+
+
+def _pack(vals, size: int) -> int:
+    """``sum(vals[i] << 8*size*i)`` for non-negative ``vals`` that fit a slot."""
+    if size in _SLOT_CODES:
+        raw = pack(f"<{len(vals)}{_SLOT_CODES[size][0]}", *vals)
+    else:
+        raw = bytearray(size * len(vals))
+        for i, c in enumerate(vals):
+            if c:
+                raw[i * size:(i + 1) * size] = c.to_bytes(size, "little")
+    return int.from_bytes(raw, "little")
+
+
+def _pack_operand(vals, size: int, signed: bool) -> int:
+    if not signed:
+        return _pack(vals, size)
+    return _pack([c if c > 0 else 0 for c in vals], size) - _pack([-c if c < 0 else 0 for c in vals], size)
+
+
+def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Cauchy product truncated at the common order, by Kronecker substitution.
+
+    Each operand is scaled to integers by the lcm of its denominators and
+    packed into one integer, coefficient ``i`` in byte slot ``i``, so that
+    a single big-integer multiply (CPython's Karatsuba) does the whole
+    convolution. A slot must hold every coefficient of the untruncated
+    product, which is at most ``min(sum|a|*max|b|, sum|b|*max|a|)`` in
+    absolute value; a sign bit is added only when some coefficient is
+    negative. Slots are 1, 2, 4 or 8 bytes (packed and read through
+    ``struct``) or, when wider, the exact byte count (``int.to_bytes``
+    slices).
+
+    With negative coefficients an operand is the packed non-negative part
+    minus the packed magnitudes of the negative part. The product's slots
+    then hold signed values; adding a bias of ``2^(w-1)`` to every ``w``-bit
+    slot and XOR-ing it off again leaves each slot in two's complement,
+    so the low ``order + 1`` slots read back as signed integers. Finally
+    each coefficient is divided once by the product of the two scales;
+    integral quotients stay ``int``.
     """
     _check_orders(a, b)
     n = a.order
-    nnz_a = sum(1 for c in a.coeffs if c)
-    nnz_b = sum(1 for c in b.coeffs if c)
-    outer, inner = (a, b) if nnz_a <= nnz_b else (b, a)
-    out: list[Rational] = [0] * (n + 1)
-    inner_coeffs = inner.coeffs
-    for i, ci in enumerate(outer.coeffs):
-        if not ci:
-            continue
-        for j in range(n - i + 1):
-            cj = inner_coeffs[j]
-            if cj:
-                out[i + j] += ci * cj
-    return TruncatedSeries(n, tuple(out))
+    va, den_a = _scaled(a.coeffs)
+    vb, den_b = (va, den_a) if a is b else _scaled(b.coeffs)
+    signed = min(va) < 0 or min(vb) < 0
+    abs_a, abs_b = (list(map(abs, va)), list(map(abs, vb))) if signed else (va, vb)
+    bound = min(sum(abs_a) * max(abs_b), sum(abs_b) * max(abs_a))
+    if not bound:
+        return TruncatedSeries.zero(n)
+    size = _slot_bytes(bound.bit_length() + signed)
+    packed_a = _pack_operand(va, size, signed)
+    product = packed_a * packed_a if a is b else packed_a * _pack_operand(vb, size, signed)
+    slots = 2 * n + 1
+    if signed:
+        bias = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+        product = (product + bias) ^ bias
+    raw = memoryview(product.to_bytes(size * slots, "little"))
+    if size in _SLOT_CODES:
+        coeffs = unpack_from(f"<{n + 1}{_SLOT_CODES[size][signed]}", raw)
+    else:
+        coeffs = tuple(
+            int.from_bytes(raw[i:i + size], "little", signed=signed) for i in range(0, size * (n + 1), size)
+        )
+    den = den_a * den_b
+    if den != 1:
+        coeffs = tuple([Fraction(c, den) if c % den else c // den for c in coeffs])
+    return _trusted(n, coeffs)
 
 
 def ps_pow(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    """k-th power by binary powering; k = 0 gives the series 1."""
+    """k-th power by binary powering from the lowest set bit of k; k = 0 gives the series 1."""
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
-    result = TruncatedSeries.one(a.order)
+    if k == 0:
+        return TruncatedSeries.one(a.order)
     base = a
+    while not k & 1:
+        base = ps_mul(base, base)
+        k >>= 1
+    result = base
+    k >>= 1
     while k:
+        base = ps_mul(base, base)
         if k & 1:
             result = ps_mul(result, base)
         k >>= 1
-        if k:
-            base = ps_mul(base, base)
     return result
 
 

@@ -148,31 +148,31 @@ def verify_lemma_g(s: int, t: int, r: int, order: int) -> ConvolutionReport:
     return ConvolutionReport(s, t, r, order, mismatch is None, mismatch)
 
 
-def brute_force_count(m: int, s: int, t: int) -> int:
-    """Independent oracle: enumerate ordered signed tuples summing to m.
+def brute_force_count(limit: int, s: int, t: int) -> tuple[int, ...]:
+    """Independent oracle: ``counts[m]`` ordered signed t-tuples with sum of s-th powers m, m <= limit.
 
-    Enumerates absolute values with a running budget and doubles for each
-    sign choice of a nonzero entry; identical to walking every signed
-    tuple with |n_i| <= m^(1/s), just without the mirrored halves.
+    One enumeration of absolute values with a running budget covers every
+    m at once; each nonzero entry doubles the weight for its sign choice.
+    Identical to walking every signed tuple with |n_i| <= limit^(1/s),
+    just without the mirrored halves. Never touches the series code.
     """
-    if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
+    if limit < 0:
+        raise ValueError(f"need limit >= 0, got {limit}")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     _check_even_power(s)
+    counts = [0] * (limit + 1)
+    powers = [b**s for b in range(integer_root(limit, s) + 1)]
 
-    def rec(remaining: int, parts: int) -> int:
-        if parts == 0:
-            return 1 if remaining == 0 else 0
-        total = 0
-        b = 0
-        while True:
-            bs = b**s
-            if bs > remaining:
+    def rec(total: int, weight: int, parts: int) -> None:
+        for b, bs in enumerate(powers):
+            if total + bs > limit:
                 break
-            sub = rec(remaining - bs, parts - 1)
-            total += sub if b == 0 else 2 * sub
-            b += 1
-        return total
+            w = weight if b == 0 else 2 * weight
+            if parts == 1:
+                counts[total + bs] += w
+            else:
+                rec(total + bs, w, parts - 1)
 
-    return rec(m, t)
+    rec(0, 1, t)
+    return tuple(counts)

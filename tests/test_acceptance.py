@@ -145,8 +145,9 @@ def test_criterion_05_waring_oracle_equivalence():
     mismatched = []
     for s, t, top in cases:
         counts = waring_counts(s, t, top).counts
+        enumerated = brute_force_count(top, s, t)
         for m in range(top + 1):
-            if counts[m] != brute_force_count(m, s, t):
+            if counts[m] != enumerated[m]:
                 mismatched.append((s, t, m))
                 break
     four = four_square_counts(8).counts

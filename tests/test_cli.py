@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from arithmos.cli import RANGE_CEILING, cli
+from arithmos.waring import integer_root
 
 
 def run(*args):
@@ -107,6 +108,12 @@ def test_verify_numeric_check_failing_tolerance():
     assert body_of(res)["numeric"]["passed"] is False  # report still written
 
 
+def test_verify_exp_bound_must_be_positive():
+    res = run("verify", "--identity", "lemma-a", "--nmax", "100", "--x", "1/2", "--exp-bound", "0")
+    assert res.exit_code == 2
+    assert "--exp-bound must be >= 1" in res.output
+
+
 def test_verify_euler_product():
     res = run(
         "verify", "--identity", "euler-product", "--s", "2",
@@ -154,6 +161,22 @@ def test_waring_table_with_bruteforce_check():
     assert lines[0] == "m,count"
     assert lines[1] == "0,1"
     assert lines[2] == "1,8"
+
+
+def test_waring_bruteforce_limit_must_be_nonnegative():
+    res = run("waring", "--s", "2", "--t", "2", "--order", "10", "--check-bruteforce", "-3")
+    assert res.exit_code == 2
+    assert "--check-bruteforce must be >= 0" in res.output
+
+
+def test_waring_bruteforce_enumeration_above_ceiling_rejected():
+    # the smallest limit whose bound (integer_root(limit, 2) + 1) ** 4 passes the ceiling;
+    # it is refused before the count table or the enumeration starts
+    limit = integer_root(RANGE_CEILING, 4) ** 2
+    assert (integer_root(limit - 1, 2) + 1) ** 4 <= RANGE_CEILING < (integer_root(limit, 2) + 1) ** 4
+    res = run("waring", "--s", "2", "--t", "4", "--order", str(limit), "--check-bruteforce", str(limit))
+    assert res.exit_code == 2
+    assert f"more than the range ceiling {RANGE_CEILING}" in res.output
 
 
 def test_waring_convolution_check():
@@ -281,6 +304,7 @@ def test_version_flag():
     ("probnum", "--beta", "omega", "--M"),
     ("verify", "--identity", "lemma-a", "--nmax"),
     ("verify", "--identity", "lemma-a", "--nmax", "100", "--x", "1/2", "--prime-bound"),
+    ("verify", "--identity", "lemma-a", "--nmax", "100", "--x", "1/2", "--exp-bound"),
     ("verify", "--identity", "euler-product", "--nmax"),
     ("verify", "--identity", "euler-product", "--prime-bound"),
     ("verify", "--identity", "partition-product", "--order"),

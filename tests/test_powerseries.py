@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithmos.powerseries import (
@@ -159,6 +159,64 @@ def test_truncation_stability(args):
     big = ps_mul(big_a, big_b)
     small = ps_mul(small_a, small_b)
     assert big.coeffs[: n + 1] == small.coeffs
+
+
+# --- the multiplication kernel against its oracle ------------------------------
+
+def schoolbook_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """The truncated Cauchy product by its definition: the oracle of ``ps_mul``."""
+    n = a.order
+    out = [0] * (n + 1)
+    for i, ci in enumerate(a.coeffs):
+        for j in range(n - i + 1):
+            out[i + j] += ci * b.coeffs[j]
+    return TruncatedSeries(n, tuple(out))
+
+
+def operand(n: int):
+    """Signed, non-negative (the unsigned packing) or all-zero coefficient lists of order n."""
+    signed = st.one_of(
+        coeff,
+        st.integers(-(2**90), 2**90),  # products need slots wider than 8 bytes
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    )
+    unsigned = st.one_of(
+        st.integers(0, 300),
+        st.integers(0, 2**70),
+        st.fractions(min_value=0, max_value=3, max_denominator=12),
+    )
+    return st.one_of(
+        st.lists(signed, min_size=n + 1, max_size=n + 1),
+        st.lists(unsigned, min_size=n + 1, max_size=n + 1),
+        st.just([0] * (n + 1)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(operand(n), operand(n))), st.booleans())
+@example(([5], [-7]), False)  # order 0
+@example(([Fraction(3, 2), Fraction(1, 3)], [Fraction(2, 3), 3]), False)  # c_0 = 1 collapses to int
+@example(([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)], [0, 0, 0]), False)  # all-zero operand
+@example(([2**8 - 1, 0], [1, 0]), False)  # bound exactly fills a 1-byte slot
+@example(([-(2**31), 0], [1, 0]), False)  # the sign bit pushes a 4-byte bound into 8 bytes
+@example(([2**64 - 1, 2**64 - 1], [1, 1]), False)  # a 9-byte slot
+@example(([-(2**63), 2**63 - 1, -1], [-(2**63), 2**63 - 1, -1]), True)  # a is b, signed, 16-byte slots
+def test_mul_matches_schoolbook(pair, same):
+    a = TruncatedSeries.from_coeffs(pair[0])
+    b = a if same else TruncatedSeries.from_coeffs(pair[1])
+    got = ps_mul(a, b)
+    want = schoolbook_mul(a, b)
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert all(type(c) is int for c in got.coeffs if c == int(c))
+
+
+def test_pow_of_signed_fraction_series_matches_schoolbook():
+    a = TruncatedSeries.from_coeffs([Fraction(-1, 2), 3, Fraction(5, 6), -2, Fraction(7, 4)])
+    want = TruncatedSeries.one(4)
+    for k in range(8):
+        assert ps_pow(a, k) == want
+        want = schoolbook_mul(want, a)
 
 
 # --- serialization ------------------------------------------------------------

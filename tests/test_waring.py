@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithmos.core import range_values
 from arithmos.waring import (
     brute_force_count,
     correlation_counts,
@@ -79,15 +80,47 @@ def test_count_table_invariants():
 
 def test_counts_match_enumeration_prefix():
     table = waring_counts(2, 4, 60)
+    enumerated = brute_force_count(60, 2, 4)
     for m in range(61):
-        assert table.counts[m] == brute_force_count(m, 2, 4)
+        assert table.counts[m] == enumerated[m]
+
+
+def test_brute_force_rejects_negative_limit():
+    with pytest.raises(ValueError):
+        brute_force_count(-1, 2, 2)
+
+
+def test_four_square_counts_match_jacobi(sieve100k):
+    # r_4(n) = 8 (sigma_1(n) - 4 sigma_1(n/4) [4 | n]) for every n <= 10^5
+    n_max = 10**5
+    sigma = range_values("sigma", n_max, sieve100k, t=1)
+    counts = waring_counts(2, 4, n_max).counts
+    assert counts[0] == 1
+    mismatches = [
+        n for n in range(1, n_max + 1)
+        if counts[n] != 8 * (sigma[n] - (4 * sigma[n // 4] if n % 4 == 0 else 0))
+    ]
+    assert mismatches == []
+
+
+def test_eight_square_counts_match_jacobi(sieve100k):
+    # r_8(n) = 16 sigma_3(n) for odd n and 16 (16 sigma_3(n/2) - sigma_3(n)) for even n
+    n_max = 2 * 10**4
+    sigma3 = range_values("sigma", n_max, sieve100k, t=3)
+    counts = waring_counts(2, 8, n_max).counts
+    assert counts[0] == 1
+    mismatches = [
+        n for n in range(1, n_max + 1)
+        if counts[n] != (16 * (16 * sigma3[n // 2] - sigma3[n]) if n % 2 == 0 else 16 * sigma3[n])
+    ]
+    assert mismatches == []
 
 
 def test_brute_force_spot_values():
-    assert brute_force_count(0, 2, 4) == 1
-    assert brute_force_count(1, 2, 4) == 8
-    assert brute_force_count(2, 2, 2) == 4
-    assert brute_force_count(2, 2, 4) == 24
+    assert brute_force_count(0, 2, 4)[0] == 1
+    assert brute_force_count(1, 2, 4)[1] == 8
+    assert brute_force_count(2, 2, 2)[2] == 4
+    assert brute_force_count(2, 2, 4)[2] == 24
 
 
 def test_essentially_distinct_examples():
