@@ -36,8 +36,6 @@ from .identities import (
 )
 from .powerseries import (
     TruncatedSeries,
-    ps_add,
-    ps_eval,
     ps_mul,
     ps_pow,
     ps_pow_recurrence,

@@ -14,11 +14,11 @@ local factor, so no search is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import eq as exact_eq
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .core import build_sieve, factorize
 
@@ -38,6 +38,7 @@ class EvaluationError(Exception):
         self.n = n
 
 
+# A dataclass, not a NamedTuple: perfbench/traced.py rebuilds every handle with dataclasses.replace.
 @dataclass(frozen=True)
 class ArithFnHandle:
     """A named arithmetical function.
@@ -55,8 +56,7 @@ class ArithFnHandle:
     range_values: Callable[[int], list[Value]] | None = None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Verdicts over ``1..bound`` with one witness pair per failed law."""
 
     name: str
@@ -65,25 +65,11 @@ class ClassificationReport:
     completely_multiplicative: bool
     additive: bool
     completely_additive: bool
-    witnesses: dict[str, tuple[int, int]] = field(default_factory=dict)
-    approximate: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "bound": self.bound,
-            "multiplicative": self.multiplicative,
-            "completely_multiplicative": self.completely_multiplicative,
-            "additive": self.additive,
-            "completely_additive": self.completely_additive,
-            "witnesses": {law: list(pair) for law, pair in sorted(self.witnesses.items())},
-            "approximate": self.approximate,
-            "note": f"verdicts are exact over 1..{self.bound} only",
-        }
+    witnesses: dict[str, tuple[int, int]]
+    approximate: bool
 
 
-@dataclass(frozen=True)
-class DecomposabilityResult:
+class DecomposabilityResult(NamedTuple):
     """Outcome of the prime-power reconstruction check on ``1..bound``."""
 
     name: str
@@ -92,16 +78,6 @@ class DecomposabilityResult:
     ok: bool
     witness: int | None
     note: str
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "bound": self.bound,
-            "ok": self.ok,
-            "witness": self.witness,
-            "note": self.note,
-        }
 
 
 def evaluate_range(f: ArithFnHandle, bound: int) -> list[Value]:

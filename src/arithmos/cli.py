@@ -30,6 +30,8 @@ from .classify import evaluate_range, verify_decomposable
 from .core import build_sieve
 from .functions import FUNCTION_IDS, INTEGER_FUNCTION_IDS, constant_one, make_handle
 from .identities import (
+    BUILTIN_SPEC_IDS,
+    LEMMA_DIRECT,
     builtin_spec,
     euler_zeta_check,
     numeric_identity_check,
@@ -40,15 +42,7 @@ from .powerseries import format_rational, parse_rational
 from .probnum import build_polynomial, eval_at_one, moment, normalize, shifted_sign_scan
 from .waring import brute_force_count, integer_root, verify_lemma_g, waring_counts
 
-IDENTITY_IDS = ("lemma-a", "lemma-b", "lemma-c", "lemma-d", "euler-product", "partition-product")
-
-LEMMA_DIRECT = {
-    # identity id -> (alpha function id, beta function id); None means the constant 1
-    "lemma-a": (None, "omega"),
-    "lemma-b": ("sigma", "omega"),
-    "lemma-c": ("d", "omega"),
-    "lemma-d": (None, "L"),
-}
+IDENTITY_IDS = BUILTIN_SPEC_IDS + ("euler-product", "partition-product")
 
 #: Largest value accepted by the size flags (table --nmax, classify --bound,
 #: probnum --M, waring --order, verify --nmax/--order/--prime-bound/--exp-bound)
@@ -56,15 +50,45 @@ LEMMA_DIRECT = {
 #: of that size is allocated or run.
 RANGE_CEILING = 10**7
 
+#: Largest size of the partition paths (table/classify/probnum with partition and
+#: verify partition-product --order), below the range ceiling: p(n) has about
+#: 1.1*sqrt(n) digits, so the cost of these paths grows much faster than n.
+PARTITION_CEILING = 10**4
+
+#: Largest degree that probnum --roots scans: the scan raises a Fraction to every
+#: exponent at each of its 241 grid points.
+ROOT_SCAN_DEGREE_CEILING = 1000
+
 #: Report chunks joined per write: the whole text of a large report is never held at once.
 EMIT_BATCH = 4096
 
 
-def _check_range(value: int, flag: str, least: int | None = None) -> None:
+def _check_range(value: int, flag: str, least: int | None = None, partition: bool = False) -> None:
     if least is not None and value < least:
         raise click.UsageError(f"{flag} must be >= {least}")
     if value > RANGE_CEILING:
         raise click.UsageError(f"{flag} must be <= {RANGE_CEILING} (the range ceiling), got {value}")
+    if partition and value > PARTITION_CEILING:
+        raise click.UsageError(f"{flag} must be <= {PARTITION_CEILING} (the partition ceiling), got {value}")
+
+
+def _check_digits(fn: str, t: int | None, top: int, power: int) -> None:
+    """Refuse a report of ``fn`` over ``1..top`` whose integers could pass the interpreter's
+    int-to-str digit limit (0 means none).
+
+    sigma_t(n) <= d(n)*n^t <= n^(t+1) and L_t(n) < n^t, so a value has at most
+    (t+1)*len(str(top)) digits. With ``power`` > 1 the report also holds moments up to that
+    power, whose numerators are at most (top+1)*value^power.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if fn not in ("sigma", "L") or t is None or not limit:
+        return
+    digits = power * (t + 1) * len(str(top)) + (len(str(top + 1)) if power > 1 else 0)
+    if digits > limit:
+        raise click.UsageError(
+            f"--t {t} over 1..{top} can give integers of {digits} digits, "
+            f"more than the interpreter's limit of {limit} for printing them"
+        )
 
 
 def _usage(setup, *args, **kwargs):
@@ -181,7 +205,8 @@ def cli(ctx: click.Context, config: str | None) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Output file (default: stdout).")
 def table(fn: str, t: int | None, nmax: int, format: str, out: str | None) -> None:
     """Write (n, f(n)) rows for n = 1..NMAX."""
-    _check_range(nmax, "--nmax", 1)
+    _check_range(nmax, "--nmax", 1, partition=fn == "partition")
+    _check_digits(fn, t, nmax, 1)
     handle = _usage(make_handle, fn, t=t, sieve=build_sieve(max(nmax, 2)))
     values = evaluate_range(handle, nmax)
     if format == "csv":
@@ -274,7 +299,7 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
         if euler_passed is False:
             all_passed = False
     else:  # partition-product
-        _check_range(order, "--order", 1)
+        _check_range(order, "--order", 1, partition=True)
         report = partition_product_check(order)
         body["partition_product"] = {
             "order": order,
@@ -298,11 +323,12 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def classify_cmd(fn: str, t: int | None, bound: int, decomposable: str | None, out: str | None) -> None:
     """Classify a function over 1..BOUND; the verdict lives in the report."""
-    _check_range(bound, "--bound", 4)
+    _check_range(bound, "--bound", 4, partition=fn == "partition")
     handle = _usage(make_handle, fn, t=t, sieve=build_sieve(bound))
-    body = run_classification(handle, bound).to_dict()
+    body = run_classification(handle, bound)._asdict()
+    body["note"] = f"verdicts are exact over 1..{bound} only"
     if decomposable:
-        body["decomposable"] = verify_decomposable(handle, decomposable, bound).to_dict()
+        body["decomposable"] = verify_decomposable(handle, decomposable, bound)._asdict()
     _emit(_structured(body), out)
 
 
@@ -355,7 +381,7 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
             all_passed &= not mismatches
     if lemma_g is not None:
         conv = verify_lemma_g(s, *lemma_g, order)
-        body["convolution_check"] = conv.to_dict()
+        body["convolution_check"] = conv._asdict()
         all_passed &= conv.ok
 
     body["all_passed"] = bool(all_passed)
@@ -379,7 +405,8 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str | None) -> None:
     """Exponent histogram over 1..M, its exact PMF, and the first four moments."""
-    _check_range(m, "--M", 1)
+    _check_range(m, "--M", 1, partition=beta == "partition")
+    _check_digits(beta, t, m, 1 if format == "csv" else 4)
     handle = _usage(make_handle, beta, t=t, sieve=build_sieve(max(m, 2)))
     poly = build_polynomial(handle, m)
     pmf = normalize(poly)
@@ -387,6 +414,12 @@ def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str
         rows = [(value, format_rational(q)) for value, q in pmf.support]
         _emit(_csv(("value", "probability"), rows), out)
         return
+    degree = poly.terms[-1][0]
+    if roots and degree > ROOT_SCAN_DEGREE_CEILING:
+        raise click.UsageError(
+            f"--roots scans degrees <= {ROOT_SCAN_DEGREE_CEILING} (the root-scan ceiling); "
+            f"the histogram over 1..{m} has degree {degree}"
+        )
     body = {
         "beta": handle.name,
         "M": m,

@@ -10,21 +10,18 @@ one-off values outside any sieve (for instance large prime powers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from operator import add, mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime factorization ``n = p_1^e_1 * ... * p_l^e_l``.
 
     ``factors`` holds ``(prime, exponent)`` pairs with primes strictly
     increasing and every exponent >= 1; it is empty exactly when ``n == 1``.
     """
 
-    n: int
     factors: tuple[tuple[int, int], ...]
 
 
@@ -84,7 +81,7 @@ def factorize(n: int, sieve: SieveTable) -> Factorization:
             m //= p
             e += 1
         factors.append((p, e))
-    return Factorization(n, tuple(factors))
+    return Factorization(tuple(factors))
 
 
 def trial_factorize(n: int) -> Factorization:
@@ -110,7 +107,7 @@ def trial_factorize(n: int) -> Factorization:
         p += 2
     if m > 1:
         factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    return Factorization(tuple(factors))
 
 
 def divisor_count(f: Factorization) -> int:
@@ -234,7 +231,7 @@ def range_values(fn_id: str, limit: int, sieve: SieveTable | None = None, t: int
         q = n // p
         if q % p:
             low[n] = p
-            values[n] = combine(values[p], values[q]) if q > 1 else local(Factorization(n, ((p, 1),)))
+            values[n] = combine(values[p], values[q]) if q > 1 else local(Factorization(((p, 1),)))
             continue
         pe = low[q] * p
         low[n] = pe
@@ -245,7 +242,7 @@ def range_values(fn_id: str, limit: int, sieve: SieveTable | None = None, t: int
             while q > p:
                 q //= p
                 e += 1
-            values[n] = local(Factorization(n, ((p, e),)))
+            values[n] = local(Factorization(((p, e),)))
     return values
 
 

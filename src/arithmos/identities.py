@@ -25,7 +25,6 @@ alongside as self-contained oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Callable, NamedTuple, Sequence
@@ -34,11 +33,8 @@ from .classify import ArithFnHandle, evaluate_range
 from .core import Factorization, SieveTable, build_sieve, factorize, partition_count, primes_upto
 from .powerseries import Rational, TruncatedSeries, as_rational
 
-BUILTIN_SPEC_IDS = ("lemma-a", "lemma-b", "lemma-c", "lemma-d")
 
-
-@dataclass(frozen=True)
-class LocalFactorSpec:
+class LocalFactorSpec(NamedTuple):
     """Prime-local data (theta, kappa) defined on primes p and exponents a >= 1."""
 
     name: str
@@ -55,13 +51,10 @@ class NumericCheck(NamedTuple):
     gap: Fraction
 
 
-@dataclass(frozen=True)
-class IdentityCheckReport:
-    """Per-term failures of one spec (or of the partition product) up to ``n_max``."""
+class IdentityCheckReport(NamedTuple):
+    """Per-term failures of one spec (or of the partition product)."""
 
-    spec_name: str
-    n_max: int
-    per_term_failures: tuple[int, ...] = ()
+    per_term_failures: tuple[int, ...]
 
     @property
     def passed(self) -> bool:
@@ -79,8 +72,20 @@ def alpha_beta(spec: LocalFactorSpec, f: Factorization) -> tuple[Rational, int]:
     return alpha, beta
 
 
+#: The direct functions of each stock spec: identity id -> (alpha function id,
+#: beta function id), where None is the constant 1.
+LEMMA_DIRECT = {
+    "lemma-a": (None, "omega"),
+    "lemma-b": ("sigma", "omega"),
+    "lemma-c": ("d", "omega"),
+    "lemma-d": (None, "L"),
+}
+
+BUILTIN_SPEC_IDS = tuple(LEMMA_DIRECT)
+
+
 def builtin_spec(which: str, t: int | None = None) -> LocalFactorSpec:
-    """The four stock specs.
+    """The four stock specs, with the direct pairs of :data:`LEMMA_DIRECT`.
 
     lemma-a: theta = 1,                kappa = 1      -> (1, omega)
     lemma-b: theta = sigma_t(p^a),     kappa = 1      -> (sigma_t, omega), t >= 0
@@ -131,7 +136,7 @@ def verify_per_term(
         alpha, beta = alpha_beta(spec, factorize(n, sieve))
         if alpha != direct_a[n] or beta != direct_b[n]:
             failures.append(n)
-    return IdentityCheckReport(spec.name, n_max=n_max, per_term_failures=tuple(failures))
+    return IdentityCheckReport(tuple(failures))
 
 
 def exact_sum(terms: Sequence[Fraction]) -> Fraction:
@@ -279,4 +284,4 @@ def partition_product_check(order: int) -> IdentityCheckReport:
     failures = tuple(
         n for n in range(order + 1) if series.coeffs[n] != partition_count(n)
     )
-    return IdentityCheckReport("partition-product", n_max=order, per_term_failures=failures)
+    return IdentityCheckReport(failures)

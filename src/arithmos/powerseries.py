@@ -3,7 +3,7 @@
 A :class:`TruncatedSeries` holds coefficients ``c_0 .. c_N`` of a formal
 series worked modulo ``x^(N+1)``. Coefficients are Python ints or
 :class:`fractions.Fraction`; floats are rejected so that coefficient
-comparisons stay exact. Binary operations require equal orders rather
+comparisons stay exact. ``ps_mul`` requires equal orders rather
 than silently truncating to the shorter operand — the mismatch is almost
 always a bug in the caller.
 
@@ -55,6 +55,8 @@ def parse_rational(s: str) -> Rational:
     return int(txt)
 
 
+# A dataclass, not a NamedTuple: construction validates every coefficient, and a
+# series never equals a bare tuple.
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Exact series ``c_0 + c_1 x + ... + c_N x^N`` (mod ``x^(N+1)``)."""
@@ -87,15 +89,6 @@ class TruncatedSeries:
     def one(cls, order: int) -> TruncatedSeries:
         return cls(order, (1,) + (0,) * order)
 
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return ps_add(self, other)
-
-    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return ps_mul(self, other)
-
-    def __pow__(self, k: int) -> TruncatedSeries:
-        return ps_pow(self, k)
-
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""
@@ -113,12 +106,6 @@ def _trusted(order: int, coeffs: tuple[Rational, ...]) -> TruncatedSeries:
 def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
-
-
-def ps_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise sum; both series must have the same order."""
-    _check_orders(a, b)
-    return TruncatedSeries(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 # struct codes (unsigned, signed) of the 1-, 2-, 4- and 8-byte slots, standard sizes under "<"
@@ -254,12 +241,3 @@ def ps_pow_recurrence(a: TruncatedSeries, k: int) -> TruncatedSeries:
                 total += ((k + 1) * j - n) * aj * g[n - j]
         g[n] = as_rational(Fraction(total) / (n * a0))
     return TruncatedSeries(n_max, tuple(g))
-
-
-def ps_eval(a: TruncatedSeries, x: Rational) -> Rational:
-    """Evaluate the truncated polynomial at ``x`` exactly (Horner)."""
-    x = as_rational(x)
-    acc: Rational = 0
-    for c in reversed(a.coeffs):
-        acc = acc * x + c
-    return as_rational(acc)

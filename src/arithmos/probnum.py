@@ -19,23 +19,21 @@ merges both masses at value 0.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import ArithFnHandle, evaluate_range
 from .powerseries import Rational, TruncatedSeries, as_rational, format_rational
 
 
-@dataclass(frozen=True)
-class ArithPolynomial:
+class ArithPolynomial(NamedTuple):
     """Histogram polynomial over 1..M: (exponent, count) pairs, exponents ascending."""
 
     M: int
     terms: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Pmf:
+class Pmf(NamedTuple):
     """Exact PMF: (value, probability) pairs with positive masses summing to 1."""
 
     support: tuple[tuple[int, Fraction], ...]

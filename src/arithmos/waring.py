@@ -12,8 +12,8 @@ blurred here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .powerseries import TruncatedSeries, ps_mul, ps_pow
 
@@ -67,8 +67,7 @@ def theta_series(order: int) -> TruncatedSeries:
     return generalized_theta(2, order)
 
 
-@dataclass(frozen=True)
-class RepCountTable:
+class RepCountTable(NamedTuple):
     """counts[m] = number of ordered signed integer t-tuples with sum of s-th powers m."""
 
     s: int
@@ -117,8 +116,7 @@ def correlation_counts(order: int) -> tuple[int, ...]:
     return tuple(ps_pow(theta_series(order), 8).coeffs)
 
 
-@dataclass(frozen=True)
-class ConvolutionReport:
+class ConvolutionReport(NamedTuple):
     """Coefficientwise comparison of the (t+r)-th power against the product of powers."""
 
     s: int
@@ -127,12 +125,6 @@ class ConvolutionReport:
     order: int
     ok: bool
     first_mismatch: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s, "t": self.t, "r": self.r, "order": self.order,
-            "ok": self.ok, "first_mismatch": self.first_mismatch,
-        }
 
 
 def verify_lemma_g(s: int, t: int, r: int, order: int) -> ConvolutionReport:

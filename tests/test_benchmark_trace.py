@@ -1,0 +1,34 @@
+"""The benchmark's tracer still runs arithmos: same output, and spans recorded."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACE_MARK = "perfbench-trace "
+
+
+def _run(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_traced_jobs_print_the_untraced_output_and_a_trace():
+    jobs = [
+        (("-m", "arithmos.cli", "table", "--fn", "d", "--nmax", "50"), ("cli", "table", "--fn", "d", "--nmax", "50")),
+        (("perfbench/libjob.py", "1", "2"), ("lib", "1", "2")),
+    ]
+    spans = {}
+    for plain_args, traced_args in jobs:
+        plain = _run(*plain_args)
+        traced = _run("perfbench/traced.py", *traced_args)
+        assert plain.returncode == 0 == traced.returncode, traced.stderr
+        assert traced.stdout == plain.stdout
+        last = traced.stderr.splitlines()[-1]
+        assert last.startswith(TRACE_MARK)
+        spans[traced_args[0]] = json.loads(last[len(TRACE_MARK):])["spans"]
+    # handles are re-made with dataclasses.replace; their eval span exists only if that worked
+    assert "functions.eval" in spans["cli"]

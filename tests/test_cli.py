@@ -1,13 +1,19 @@
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from arithmos.cli import RANGE_CEILING, cli
+from arithmos.cli import PARTITION_CEILING, RANGE_CEILING, ROOT_SCAN_DEGREE_CEILING, cli
 from arithmos.waring import integer_root
+
+
+# the interpreter's int-to-str digit limit; 0 is none, and CPython's default is 4300
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+default_digit_limit = pytest.mark.skipif(DIGIT_LIMIT != 4300, reason="needs the default digit limit")
 
 
 def run(*args):
@@ -55,6 +61,24 @@ def test_table_structured_output():
 def test_table_t_rejected_for_nonparametric():
     res = run("table", "--fn", "omega", "--t", "2", "--nmax", "5")
     assert res.exit_code == 2
+
+
+@default_digit_limit
+def test_table_values_past_the_digit_limit_rejected():
+    # sigma_1000 over 1..20000 would print integers of up to 1001 * 5 digits
+    res = run("table", "--fn", "sigma", "--t", "1000", "--nmax", "20000")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "Error: --t 1000 over 1..20000 can give integers of 5005 digits" in res.stderr
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no digit limit")
+def test_table_values_inside_the_digit_limit_print():
+    t = DIGIT_LIMIT // 2 - 1  # (t + 1) * len(str(99)) is the limit itself
+    res = run("table", "--fn", "sigma", "--t", str(t), "--nmax", "99")
+    assert res.exit_code == 0
+    assert res.stdout.splitlines()[-1].startswith("99,")
+    assert run("table", "--fn", "sigma", "--t", str(t + 1), "--nmax", "99").exit_code == 2
 
 
 # --- verify ----------------------------------------------------------------
@@ -239,6 +263,24 @@ def test_probnum_roots_section():
     assert "sign_changes" in body_of(res)["root_scan"]
 
 
+@pytest.mark.parametrize("beta, m", [("phi", "2000"), ("partition", "40")])
+def test_probnum_roots_above_degree_ceiling_rejected(beta, m):
+    res = run("probnum", "--beta", beta, "--M", m, "--roots")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"degrees <= {ROOT_SCAN_DEGREE_CEILING}" in res.stderr
+
+
+@default_digit_limit
+def test_probnum_moments_past_the_digit_limit_rejected():
+    # values of sigma_1000 over 1..99 have at most 2002 digits, their fourth powers 8008
+    res = run("probnum", "--beta", "sigma", "--t", "1000", "--M", "99")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    res = run("probnum", "--beta", "sigma", "--t", "1000", "--M", "99", "--format", "csv")
+    assert res.exit_code == 0
+
+
 def test_probnum_rationals_are_lowest_terms():
     res = run("probnum", "--beta", "bigomega", "--M", "200")
     body = body_of(res)
@@ -315,6 +357,18 @@ def test_range_above_ceiling_rejected_before_allocation(args):
     res = run(*args, str(RANGE_CEILING + 1))
     assert res.exit_code == 2
     assert f"{args[-1]} must be <= {RANGE_CEILING}" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ("table", "--fn", "partition", "--nmax"),
+    ("classify", "--fn", "partition", "--bound"),
+    ("probnum", "--beta", "partition", "--M"),
+    ("verify", "--identity", "partition-product", "--order"),
+])
+def test_partition_above_its_ceiling_rejected(args):
+    res = run(*args, str(PARTITION_CEILING + 1))
+    assert res.exit_code == 2
+    assert f"{args[-1]} must be <= {PARTITION_CEILING} (the partition ceiling)" in res.output
 
 
 # --- report bytes ------------------------------------------------------------------------

@@ -5,11 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithmos.powerseries import (
+    Rational,
     TruncatedSeries,
     format_rational,
     parse_rational,
-    ps_add,
-    ps_eval,
     ps_mul,
     ps_pow,
     ps_pow_recurrence,
@@ -21,17 +20,17 @@ coeff = st.one_of(
 )
 
 
-def test_add_examples():
-    one_plus = TruncatedSeries.from_coeffs([1, 1])
-    one_minus = TruncatedSeries.from_coeffs([1, -1])
-    assert ps_add(one_plus, one_minus).coeffs == (2, 0)
-    zero = TruncatedSeries.zero(1)
-    assert ps_add(one_plus, zero) == one_plus
+def ps_eval(a: TruncatedSeries, x: Rational) -> Rational:
+    """The truncated polynomial at ``x`` by Horner's rule: the oracle of product identities."""
+    acc: Rational = 0
+    for c in reversed(a.coeffs):
+        acc = acc * x + c
+    return acc
 
 
-def test_add_order_mismatch():
+def test_mul_order_mismatch():
     with pytest.raises(ValueError):
-        ps_add(TruncatedSeries.zero(4), TruncatedSeries.zero(5))
+        ps_mul(TruncatedSeries.zero(4), TruncatedSeries.zero(5))
 
 
 def test_mul_examples():
@@ -82,8 +81,6 @@ def test_eval_examples():
 def test_floats_rejected():
     with pytest.raises(TypeError):
         TruncatedSeries.from_coeffs([1.0, 2])
-    with pytest.raises(TypeError):
-        ps_eval(TruncatedSeries.one(1), 0.5)
 
 
 def test_coefficient_count_enforced():
