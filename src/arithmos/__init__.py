@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .classify import ArithFnHandle, ClassificationReport, classify, exp_transform, verify_decomposable
 from .core import (
     Factorization,
-    SieveTable,
     build_sieve,
     divisor_count,
     divisor_power_sum,

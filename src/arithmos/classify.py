@@ -164,11 +164,11 @@ def verify_decomposable(f: ArithFnHandle, mode: str, bound: int) -> Decomposabil
         raise ValueError(f"bound must be >= 4, got {bound}")
     v = evaluate_range(f, bound)
     eq = _equal(f.value_kind)
-    sieve = build_sieve(bound)
+    build_sieve(bound)
     witness = None
     for n in range(2, bound + 1):
         # g(p, a) = f(p^a) is read from the range itself: p^a <= n <= bound
-        factors = factorize(n, sieve).factors
+        factors = factorize(n).factors
         if mode == "multiplicative":
             combined: Value = 1
             for p, a in factors:

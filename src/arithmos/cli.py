@@ -27,7 +27,6 @@ import click
 from . import __version__
 from .classify import classify as run_classification
 from .classify import evaluate_range, verify_decomposable
-from .core import build_sieve
 from .functions import FUNCTION_IDS, INTEGER_FUNCTION_IDS, constant_one, make_handle
 from .identities import (
     BUILTIN_SPEC_IDS,
@@ -59,8 +58,16 @@ PARTITION_CEILING = 10**4
 #: exponent at each of its 241 grid points.
 ROOT_SCAN_DEGREE_CEILING = 1000
 
-#: Report chunks joined per write: the whole text of a large report is never held at once.
-EMIT_BATCH = 4096
+#: Largest estimated size of an exact denominator in verify, in units of its natural log,
+#: checked after the range checks: a sum over n <= nmax with exponent k (or s) has a
+#: denominator dividing lcm(1..nmax)^k, about e^(k*nmax); the lemma product side divides the
+#: product of p^(k*exp_bound) over p <= prime_bound, about e^(k*exp_bound*prime_bound); and
+#: the euler product side, about e^(s*prime_bound).
+DENOMINATOR_CEILING = 4 * 10**5
+
+#: Report chunks joined per write: the whole text of a large report is never held at once,
+#: and the chunks of one batch (for CSV, one string per line) stay under about 0.1 MB.
+EMIT_BATCH = 1024
 
 
 def _check_range(value: int, flag: str, least: int | None = None, partition: bool = False) -> None:
@@ -70,6 +77,11 @@ def _check_range(value: int, flag: str, least: int | None = None, partition: boo
         raise click.UsageError(f"{flag} must be <= {RANGE_CEILING} (the range ceiling), got {value}")
     if partition and value > PARTITION_CEILING:
         raise click.UsageError(f"{flag} must be <= {PARTITION_CEILING} (the partition ceiling), got {value}")
+
+
+def _check_denominator(flags: str, size: int) -> None:
+    if size > DENOMINATOR_CEILING:
+        raise click.UsageError(f"{flags} = {size} must be <= {DENOMINATOR_CEILING} (the denominator ceiling)")
 
 
 def _check_digits(fn: str, t: int | None, top: int, power: int) -> None:
@@ -149,14 +161,15 @@ def _parse_rational_opt(raw: str | None, flag: str) -> Fraction | None:
         raise click.UsageError(f"{flag} must be a rational like 1/2: {exc}")
 
 
-def _normalize_config(raw: dict) -> dict:
+def _normalize_config(raw: object) -> dict:
     # config keys mirror flags; fold them onto click's derived parameter names
+    if not isinstance(raw, dict):
+        raise ValueError("the top level must be a JSON object")
     out = {}
     for command, section in raw.items():
-        if isinstance(section, dict):
-            out[command] = {key.replace("-", "_").lower(): val for key, val in section.items()}
-        else:
-            out[command] = section
+        if not isinstance(section, dict):
+            raise ValueError(f"section {command!r} must be a JSON object")
+        out[command] = {key.replace("-", "_").lower(): val for key, val in section.items()}
     return out
 
 
@@ -193,7 +206,7 @@ def cli(ctx: click.Context, config: str | None) -> None:
         with open(config, encoding="utf-8") as fh:
             try:
                 ctx.default_map = _normalize_config(json.load(fh))
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSON syntax, or a top level or section that is no object
                 raise click.UsageError(f"bad config file {config}: {exc}")
 
 
@@ -207,7 +220,7 @@ def table(fn: str, t: int | None, nmax: int, format: str, out: str | None) -> No
     """Write (n, f(n)) rows for n = 1..NMAX."""
     _check_range(nmax, "--nmax", 1, partition=fn == "partition")
     _check_digits(fn, t, nmax, 1)
-    handle = _usage(make_handle, fn, t=t, sieve=build_sieve(max(nmax, 2)))
+    handle = _usage(make_handle, fn, t=t)
     values = evaluate_range(handle, nmax)
     if format == "csv":
         report = _csv(("n", "value"), ((n, values[n]) for n in range(1, nmax + 1)))
@@ -250,11 +263,12 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
                 raise click.UsageError("--k must be an integer >= 2")
             _check_range(prime_bound, "--prime-bound")
             _check_range(exp_bound, "--exp-bound", 1)
-        sieve = build_sieve(nmax)
+            _check_denominator("--k * --nmax", k_value * nmax)
+            _check_denominator("--k * --exp-bound * --prime-bound", k_value * exp_bound * prime_bound)
         alpha_id, beta_id = LEMMA_DIRECT[identity]
-        direct_alpha = constant_one() if alpha_id is None else make_handle(alpha_id, t=t, sieve=sieve)
-        direct_beta = make_handle(beta_id, t=t if beta_id == "L" else None, sieve=sieve)
-        report = verify_per_term(spec, direct_alpha, direct_beta, nmax, sieve=sieve)
+        direct_alpha = constant_one() if alpha_id is None else make_handle(alpha_id, t=t)
+        direct_beta = make_handle(beta_id, t=t if beta_id == "L" else None)
+        report = verify_per_term(spec, direct_alpha, direct_beta, nmax)
         body["per_term"] = {
             "spec": spec.name,
             "n_max": nmax,
@@ -263,7 +277,7 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
         }
         all_passed &= report.passed
         if x_value is not None:
-            num = numeric_identity_check(spec, x_value, k_value, prime_bound, exp_bound, nmax, sieve=sieve)
+            num = numeric_identity_check(spec, x_value, k_value, prime_bound, exp_bound, nmax)
             numeric_passed = None if gap_tol_value is None else num.gap <= gap_tol_value
             body["numeric"] = {
                 "x": format_rational(num.x),
@@ -284,6 +298,8 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
             raise click.UsageError("--s must be an integer >= 2")
         _check_range(nmax, "--nmax", 1)
         _check_range(prime_bound, "--prime-bound")
+        _check_denominator("--s * --nmax", s * nmax)
+        _check_denominator("--s * --prime-bound", s * prime_bound)
         check = euler_zeta_check(s, nmax, prime_bound)
         euler_passed = None if gap_tol_value is None else check.gap <= gap_tol_value
         body["euler"] = {
@@ -324,7 +340,7 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
 def classify_cmd(fn: str, t: int | None, bound: int, decomposable: str | None, out: str | None) -> None:
     """Classify a function over 1..BOUND; the verdict lives in the report."""
     _check_range(bound, "--bound", 4, partition=fn == "partition")
-    handle = _usage(make_handle, fn, t=t, sieve=build_sieve(bound))
+    handle = _usage(make_handle, fn, t=t)
     body = run_classification(handle, bound)._asdict()
     body["note"] = f"verdicts are exact over 1..{bound} only"
     if decomposable:
@@ -371,7 +387,8 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
     all_passed = True
     if t is not None:
         counts = waring_counts(s, t, order)
-        body["counts"] = list(counts.counts)
+        if format == "structured":
+            body["counts"] = list(counts.counts)
         if check_bruteforce is not None:
             enumerated = brute_force_count(top, s, t)
             mismatches = [m for m in range(top + 1) if counts.counts[m] != enumerated[m]]
@@ -407,7 +424,7 @@ def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str
     """Exponent histogram over 1..M, its exact PMF, and the first four moments."""
     _check_range(m, "--M", 1, partition=beta == "partition")
     _check_digits(beta, t, m, 1 if format == "csv" else 4)
-    handle = _usage(make_handle, beta, t=t, sieve=build_sieve(max(m, 2)))
+    handle = _usage(make_handle, beta, t=t)
     poly = build_polynomial(handle, m)
     pmf = normalize(poly)
     if format == "csv":

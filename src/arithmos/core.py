@@ -3,9 +3,10 @@ arithmetical functions built on them.
 
 Everything here is exact integer arithmetic; values never pass through
 floats, so results like divisor power sums stay correct at any size.
-A :class:`SieveTable` covers a contiguous range ``2..limit`` and makes
-bulk factorization of that range cheap; :func:`trial_factorize` handles
-one-off values outside any sieve (for instance large prime powers).
+The module owns one sieve, grown by :func:`build_sieve` to the largest
+range asked for; every function that needs it asks for its range.
+:func:`factorize` walks the sieve inside it and trial-divides beyond it
+(for instance large prime powers).
 """
 
 from __future__ import annotations
@@ -25,53 +26,49 @@ class Factorization(NamedTuple):
     factors: tuple[tuple[int, int], ...]
 
 
-class SieveTable:
-    """Smallest-prime-factor table for ``2..limit``.
+# Smallest-prime-factor table: _spf[k] is the least prime dividing k for
+# 2 <= k < len(_spf), so _spf[k] == k iff k is prime. Like _partitions it is
+# replaced, never mutated, and grown to exactly the largest limit asked for.
+_spf: list[int] = []
 
-    ``spf[k]`` is the least prime dividing ``k``; ``spf[k] == k`` iff ``k``
-    is prime. Immutable after construction, safe for concurrent readers.
+
+def build_sieve(limit: int) -> list[int]:
+    """The shared smallest-prime-factor table, covering at least ``2..limit``.
+
+    Returns the table of an earlier call when it already covers ``limit``;
+    otherwise builds one for ``2..limit`` and keeps it for later calls.
     """
-
-    __slots__ = ("limit", "spf")
-
-    def __init__(self, limit: int, spf: list[int]):
-        self.limit = limit
-        self.spf = spf
-
-    def __repr__(self) -> str:
-        return f"SieveTable(limit={self.limit})"
-
-
-def build_sieve(limit: int) -> SieveTable:
-    """Build a smallest-prime-factor table covering ``2..limit``."""
-    if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    global _spf
+    if limit < len(_spf):
+        return _spf
     spf = list(range(limit + 1))
     for i in range(2, isqrt(limit) + 1):
         if spf[i] == i:
             for j in range(i * i, limit + 1, i):
                 if spf[j] == j:
                     spf[j] = i
-    return SieveTable(limit, spf)
+    _spf = spf
+    return spf
 
 
-def primes_upto(limit: int, sieve: SieveTable | None = None) -> list[int]:
-    """All primes ``p <= limit``, reusing ``sieve`` when it is large enough."""
+def primes_upto(limit: int) -> list[int]:
+    """All primes ``p <= limit``."""
     if limit < 2:
         return []
-    if sieve is None or sieve.limit < limit:
-        sieve = build_sieve(limit)
-    spf = sieve.spf
+    spf = build_sieve(limit)
     return [p for p in range(2, limit + 1) if spf[p] == p]
 
 
-def factorize(n: int, sieve: SieveTable) -> Factorization:
-    """Factor ``n`` using the sieve; requires ``1 <= n <= sieve.limit``."""
+def factorize(n: int) -> Factorization:
+    """Factor ``n >= 1``: walk the sieve when it covers ``n``, else trial-divide.
+
+    Builds no sieve; a per-n loop calls :func:`build_sieve` once first.
+    """
     if n < 1:
         raise ValueError(f"cannot factorize {n}; need a positive integer")
-    if n > sieve.limit:
-        raise ValueError(f"{n} exceeds sieve limit {sieve.limit}")
-    spf = sieve.spf
+    spf = _spf
+    if n >= len(spf):
+        return trial_factorize(n)
     factors = []
     m = n
     while m > 1:
@@ -154,13 +151,11 @@ def euler_totient(f: Factorization) -> int:
     return out
 
 
-def prime_count_upto(n: int, sieve: SieveTable) -> int:
+def prime_count_upto(n: int) -> int:
     """pi(n): number of primes <= n."""
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
-    if n > sieve.limit:
-        raise ValueError(f"{n} exceeds sieve limit {sieve.limit}")
-    spf = sieve.spf
+    spf = build_sieve(n)
     return sum(1 for k in range(2, n + 1) if spf[k] == k)
 
 
@@ -192,15 +187,14 @@ def local_function(fn_id: str, t: int | None = None) -> tuple[Callable[[Factoriz
     raise ValueError(f"{fn_id!r} is not a factorization-local function id")
 
 
-def range_values(fn_id: str, limit: int, sieve: SieveTable | None = None, t: int | None = None) -> list[int]:
+def range_values(fn_id: str, limit: int, t: int | None = None) -> list[int]:
     """``v`` with ``v[n] = f(n)`` for every ``1 <= n <= limit``; ``v[0]`` is 0 padding.
 
     The factorization-local ids of :func:`local_function` take one pass
     over ``spf``: n = p^e * m with p = spf(n) and p not dividing m reuses
     the values at p^e and m, and only prime powers are evaluated directly.
     ``pi`` is a running prefix count over the sieve and ``partition``
-    reads the :func:`partition_count` cache. ``sieve`` is reused when it
-    covers ``limit``; otherwise one is built.
+    reads the :func:`partition_count` cache.
     """
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
@@ -210,9 +204,7 @@ def range_values(fn_id: str, limit: int, sieve: SieveTable | None = None, t: int
         values[0] = 0
         return values
     rule = None if fn_id == "pi" else local_function(fn_id, t)
-    if sieve is None or sieve.limit < limit:
-        sieve = build_sieve(max(limit, 2))
-    spf = sieve.spf
+    spf = build_sieve(limit)
     values = [0] * (limit + 1)
     if rule is None:
         count = 0

@@ -30,7 +30,7 @@ from operator import add
 from typing import Callable, NamedTuple, Sequence
 
 from .classify import ArithFnHandle, evaluate_range
-from .core import Factorization, SieveTable, build_sieve, factorize, partition_count, primes_upto
+from .core import Factorization, build_sieve, factorize, partition_count, primes_upto
 from .powerseries import Rational, TruncatedSeries, as_rational
 
 
@@ -121,19 +121,17 @@ def verify_per_term(
     direct_alpha: ArithFnHandle,
     direct_beta: ArithFnHandle,
     n_max: int,
-    sieve: SieveTable | None = None,
 ) -> IdentityCheckReport:
     """Exact check that (alpha, beta) equal the direct functions for 2 <= n <= n_max."""
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    if sieve is None or sieve.limit < n_max:
-        sieve = build_sieve(n_max)
     # the direct side comes from range tables, the spec side from per-n factorizations
     direct_a = evaluate_range(direct_alpha, n_max)
     direct_b = evaluate_range(direct_beta, n_max)
+    build_sieve(n_max)
     failures = []
     for n in range(2, n_max + 1):
-        alpha, beta = alpha_beta(spec, factorize(n, sieve))
+        alpha, beta = alpha_beta(spec, factorize(n))
         if alpha != direct_a[n] or beta != direct_b[n]:
             failures.append(n)
     return IdentityCheckReport(tuple(failures))
@@ -195,20 +193,18 @@ def truncated_sum_eval(
     x: Rational,
     k: int,
     n_max: int,
-    sieve: SieveTable | None = None,
 ) -> Fraction:
     """Exact value of 1 + sum_{n=2..n_max} alpha(n) x^beta(n) / n^k."""
     if k < 2:
         raise ValueError(f"k must be an integer >= 2 for convergent truncations, got {k}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if sieve is None or sieve.limit < n_max:
-        sieve = build_sieve(max(n_max, 2))
+    build_sieve(n_max)
     xf = Fraction(as_rational(x))
     xpow: dict[int, Fraction] = {}
     terms = []
     for n in range(2, n_max + 1):
-        alpha, beta = alpha_beta(spec, factorize(n, sieve))
+        alpha, beta = alpha_beta(spec, factorize(n))
         if beta not in xpow:
             xpow[beta] = xf**beta
         terms.append(Fraction(alpha) * xpow[beta] / n**k)
@@ -222,11 +218,10 @@ def numeric_identity_check(
     prime_bound: int,
     exp_bound: int,
     n_max: int,
-    sieve: SieveTable | None = None,
 ) -> NumericCheck:
     """Evaluate both truncations and report their exact absolute gap."""
     lhs = truncated_product_eval(spec, x, k, prime_bound, exp_bound)
-    rhs = truncated_sum_eval(spec, x, k, n_max, sieve=sieve)
+    rhs = truncated_sum_eval(spec, x, k, n_max)
     return NumericCheck(Fraction(x), prime_bound, exp_bound, lhs, rhs, abs(lhs - rhs))
 
 

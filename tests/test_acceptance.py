@@ -44,21 +44,21 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_01_per_term_identity_suite(sieve10k):
     started = time.monotonic()
     n_max = 10**4
-    omega = make_handle("omega", sieve=sieve10k)
+    omega = make_handle("omega")
     one = constant_one()
     jobs = [(builtin_spec("lemma-a"), one, omega)]
     jobs.extend(
-        (builtin_spec("lemma-b", t=t), make_handle("sigma", t=t, sieve=sieve10k), omega)
+        (builtin_spec("lemma-b", t=t), make_handle("sigma", t=t), omega)
         for t in (0, 1, 2, 3)
     )
-    jobs.append((builtin_spec("lemma-c"), make_handle("d", sieve=sieve10k), omega))
+    jobs.append((builtin_spec("lemma-c"), make_handle("d"), omega))
     jobs.extend(
-        (builtin_spec("lemma-d", t=t), one, make_handle("L", t=t, sieve=sieve10k))
+        (builtin_spec("lemma-d", t=t), one, make_handle("L", t=t))
         for t in (1, 2, 3)
     )
     failed = []
     for spec, direct_alpha, direct_beta in jobs:
-        report = verify_per_term(spec, direct_alpha, direct_beta, n_max, sieve=sieve10k)
+        report = verify_per_term(spec, direct_alpha, direct_beta, n_max)
         if not report.passed:
             failed.append(spec.name)
     elapsed = time.monotonic() - started
@@ -79,7 +79,7 @@ def test_criterion_02_numeric_convergence(sieve100k):
     gaps = []
     for prime_bound, exp_bound, n_max in schedule:
         lhs = truncated_product_eval(spec, x, 2, prime_bound, exp_bound)
-        rhs = truncated_sum_eval(spec, x, 2, n_max, sieve=sieve100k)
+        rhs = truncated_sum_eval(spec, x, 2, n_max)
         gaps.append(abs(lhs - rhs))
     monotone = all(gaps[i + 1] <= gaps[i] for i in range(len(gaps) - 1))
     final_small = gaps[-1] < Fraction(1, 10**6)
@@ -106,11 +106,11 @@ def test_criterion_03_euler_oracles(sieve10k):
 
 def test_criterion_04_classification_suite(sieve10k):
     bound = 2000
-    d = make_handle("d", sieve=sieve10k)
-    sigma1 = make_handle("sigma", t=1, sieve=sieve10k)
-    phi = make_handle("phi", sieve=sieve10k)
-    omega = make_handle("omega", sieve=sieve10k)
-    bigomega = make_handle("bigomega", sieve=sieve10k)
+    d = make_handle("d")
+    sigma1 = make_handle("sigma", t=1)
+    phi = make_handle("phi")
+    omega = make_handle("omega")
+    bigomega = make_handle("bigomega")
     two_omega = exp_transform(omega, 2)
     two_bigomega = exp_transform(bigomega, 2)
 
@@ -182,7 +182,7 @@ def test_criterion_06_power_convolution():
 def test_criterion_07_fermat_laws(sieve10k):
     ordered = two_square_counts(10**4).counts
     problems = []
-    for p in primes_upto(10**4, sieve10k):
+    for p in primes_upto(10**4):
         if p % 4 == 1:
             if essentially_distinct_two_squares(p) != 1 or ordered[p] != 8:
                 problems.append(p)
@@ -199,7 +199,7 @@ def test_criterion_08_four_square_positivity():
 
 
 def test_criterion_09_pmf_suite(sieve10k):
-    omega = make_handle("omega", sieve=sieve10k)
+    omega = make_handle("omega")
     means = []
     problems = []
     for m in (100, 1000, 10**4):

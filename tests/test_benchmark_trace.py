@@ -16,19 +16,27 @@ def _run(*args):
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
 
 
+VERIFY = ("verify", "--identity", "lemma-a", "--nmax", "200", "--x", "1/2", "--prime-bound", "50", "--exp-bound", "4")
+
+
 def test_traced_jobs_print_the_untraced_output_and_a_trace():
-    jobs = [
-        (("-m", "arithmos.cli", "table", "--fn", "d", "--nmax", "50"), ("cli", "table", "--fn", "d", "--nmax", "50")),
-        (("perfbench/libjob.py", "1", "2"), ("lib", "1", "2")),
-    ]
+    jobs = {
+        "table": (("-m", "arithmos.cli", "table", "--fn", "d", "--nmax", "50"),
+                  ("cli", "table", "--fn", "d", "--nmax", "50")),
+        "verify": (("-m", "arithmos.cli", *VERIFY), ("cli", *VERIFY)),
+        "lib": (("perfbench/libjob.py", "1", "2"), ("lib", "1", "2")),
+    }
     spans = {}
-    for plain_args, traced_args in jobs:
+    for name, (plain_args, traced_args) in jobs.items():
         plain = _run(*plain_args)
         traced = _run("perfbench/traced.py", *traced_args)
         assert plain.returncode == 0 == traced.returncode, traced.stderr
         assert traced.stdout == plain.stdout
         last = traced.stderr.splitlines()[-1]
         assert last.startswith(TRACE_MARK)
-        spans[traced_args[0]] = json.loads(last[len(TRACE_MARK):])["spans"]
+        spans[name] = json.loads(last[len(TRACE_MARK):])["spans"]  # name -> [calls, s, self_s]
     # handles are re-made with dataclasses.replace; their eval span exists only if that worked
-    assert "functions.eval" in spans["cli"]
+    assert "functions.eval" in spans["table"]
+    # the tracer binds these by name, and the verify job calls each
+    for span in ("core.build_sieve", "core.factorize", "identities.truncated_sum_eval"):
+        assert spans["verify"][span][0] > 0, span

@@ -17,13 +17,13 @@ from arithmos.functions import make_handle
 @pytest.fixture(scope="module")
 def handles(sieve10k):
     return {
-        "d": make_handle("d", sieve=sieve10k),
-        "sigma1": make_handle("sigma", t=1, sieve=sieve10k),
-        "sigma2": make_handle("sigma", t=2, sieve=sieve10k),
-        "omega": make_handle("omega", sieve=sieve10k),
-        "bigomega": make_handle("bigomega", sieve=sieve10k),
-        "L3": make_handle("L", t=3, sieve=sieve10k),
-        "phi": make_handle("phi", sieve=sieve10k),
+        "d": make_handle("d"),
+        "sigma1": make_handle("sigma", t=1),
+        "sigma2": make_handle("sigma", t=2),
+        "omega": make_handle("omega"),
+        "bigomega": make_handle("bigomega"),
+        "L3": make_handle("L", t=3),
+        "phi": make_handle("phi"),
     }
 
 
@@ -118,10 +118,10 @@ def test_decomposable_reports_witness(handles):
     res = verify_decomposable(handles["phi"], "additive", 100)
     assert not res.ok
     assert res.witness == 6
-    from arithmos.core import build_sieve, factorize
+    from arithmos.core import factorize
 
     h = handles["phi"].eval
-    f = factorize(res.witness, build_sieve(100))
+    f = factorize(res.witness)
     combined = sum(h(p**a) for p, a in f.factors)
     assert h(res.witness) != combined
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from arithmos.cli import PARTITION_CEILING, RANGE_CEILING, ROOT_SCAN_DEGREE_CEILING, cli
+from arithmos.cli import DENOMINATOR_CEILING, PARTITION_CEILING, RANGE_CEILING, ROOT_SCAN_DEGREE_CEILING, cli
 from arithmos.waring import integer_root
 
 
@@ -332,6 +332,18 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert res2.output.strip().splitlines()[-1] == "3,2"
 
 
+@pytest.mark.parametrize("config, problem", [
+    ([1, 2], "the top level must be a JSON object"),
+    ({"table": 5}, "section 'table' must be a JSON object"),
+], ids=["top-level", "section"])
+def test_config_file_that_is_no_object_rejected(tmp_path, config, problem):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    res = run("--config", str(cfg), "table")
+    assert res.exit_code == 2
+    assert f"bad config file {cfg}: {problem}" in res.output
+
+
 def test_version_flag():
     res = run("--version")
     assert res.exit_code == 0
@@ -357,6 +369,21 @@ def test_range_above_ceiling_rejected_before_allocation(args):
     res = run(*args, str(RANGE_CEILING + 1))
     assert res.exit_code == 2
     assert f"{args[-1]} must be <= {RANGE_CEILING}" in res.output
+
+
+# the smallest refused value of each estimate; the largest admitted ones take seconds
+@pytest.mark.parametrize("args, flags", [
+    (("verify", "--identity", "lemma-a", "--x", "1/2", "--prime-bound", "10", "--nmax"), "--k * --nmax"),
+    (("verify", "--identity", "lemma-a", "--x", "1/2", "--nmax", "100", "--exp-bound", "1", "--prime-bound"),
+     "--k * --exp-bound * --prime-bound"),
+    (("verify", "--identity", "euler-product", "--s", "2", "--nmax"), "--s * --nmax"),
+    (("verify", "--identity", "euler-product", "--s", "2", "--nmax", "100", "--prime-bound"), "--s * --prime-bound"),
+], ids=["lemma-sum", "lemma-product", "euler-sum", "euler-product"])
+def test_denominator_above_its_ceiling_rejected(args, flags):
+    refused = DENOMINATOR_CEILING // 2 + 1  # with --k or --s 2 (and --exp-bound 1)
+    res = run(*args, str(refused))
+    assert res.exit_code == 2
+    assert f"{flags} = {2 * refused} must be <= {DENOMINATOR_CEILING} (the denominator ceiling)" in res.output
 
 
 @pytest.mark.parametrize("args", [

@@ -1,8 +1,9 @@
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, isqrt
 
 import pytest
 
+from arithmos import core
 from arithmos.classify import ArithFnHandle, EvaluationError
 from arithmos.core import (
     build_sieve,
@@ -88,29 +89,24 @@ def partitions_brute(n, max_part=None):
 
 def test_sieve_small_entries():
     s = build_sieve(10)
-    assert s.spf[10] == 2
-    assert s.spf[9] == 3
-    assert s.spf[7] == 7
+    assert s[10] == 2
+    assert s[9] == 3
+    assert s[7] == 7
 
 
 def test_sieve_base_case():
     s = build_sieve(2)
-    assert s.spf[2] == 2
-
-
-def test_sieve_rejects_tiny_limit():
-    with pytest.raises(ValueError):
-        build_sieve(1)
+    assert s[2] == 2
 
 
 def test_sieve_large_prime_entry():
     s = build_sieve(10**6)
     assert is_prime_by_trial(999983)
-    assert s.spf[999983] == 999983
+    assert s[999983] == 999983
 
 
 def test_sieve_invariants_sample(sieve10k):
-    spf = sieve10k.spf
+    spf = sieve10k
     for k in range(2, 3000):
         assert k % spf[k] == 0
         assert is_prime_by_trial(spf[k])
@@ -120,30 +116,31 @@ def test_sieve_invariants_sample(sieve10k):
 # --- factorization ----------------------------------------------------------
 
 def test_factorize_one(sieve10k):
-    assert factorize(1, sieve10k).factors == ()
+    assert factorize(1).factors == ()
 
 
 def test_factorize_twelve(sieve10k):
-    assert factorize(12, sieve10k).factors == ((2, 2), (3, 1))
+    assert factorize(12).factors == ((2, 2), (3, 1))
 
 
 def test_factorize_prime(sieve10k):
-    assert factorize(97, sieve10k).factors == ((97, 1),)
+    assert factorize(97).factors == ((97, 1),)
 
 
 def test_factorize_rejects_zero(sieve10k):
     with pytest.raises(ValueError):
-        factorize(0, sieve10k)
+        factorize(0)
 
 
-def test_factorize_rejects_beyond_limit(sieve10k):
-    with pytest.raises(ValueError):
-        factorize(10**4 + 1, sieve10k)
+def test_factorize_beyond_the_sieve_trial_divides(sieve10k):
+    for n in (97**20, 10**12 + 39):
+        assert n >= len(core._spf)
+        assert factorize(n) == trial_factorize(n)
 
 
 def test_factorize_matches_trial_division(sieve10k):
     for n in range(1, 2000):
-        f = factorize(n, sieve10k)
+        f = factorize(n)
         assert f.factors == tuple(prime_factors_by_trial(n))
         prod = 1
         for p, e in f.factors:
@@ -163,46 +160,46 @@ def test_trial_factorize_handles_large_prime_powers():
 # --- arithmetical functions vs oracles ---------------------------------------
 
 def test_divisor_count_examples(sieve10k):
-    assert divisor_count(factorize(1, sieve10k)) == 1
-    assert divisor_count(factorize(12, sieve10k)) == len(divisors_of(12)) == 6
-    assert divisor_count(factorize(97, sieve10k)) == 2
+    assert divisor_count(factorize(1)) == 1
+    assert divisor_count(factorize(12)) == len(divisors_of(12)) == 6
+    assert divisor_count(factorize(97)) == 2
 
 
 def test_divisor_power_sum_examples(sieve10k):
-    assert divisor_power_sum(factorize(1, sieve10k), 3) == 1
-    assert divisor_power_sum(factorize(6, sieve10k), 1) == 1 + 2 + 3 + 6
-    assert divisor_power_sum(factorize(12, sieve10k), 0) == divisor_count(factorize(12, sieve10k))
+    assert divisor_power_sum(factorize(1), 3) == 1
+    assert divisor_power_sum(factorize(6), 1) == 1 + 2 + 3 + 6
+    assert divisor_power_sum(factorize(12), 0) == divisor_count(factorize(12))
     with pytest.raises(ValueError):
-        divisor_power_sum(factorize(6, sieve10k), -1)
+        divisor_power_sum(factorize(6), -1)
 
 
 def test_omega_examples(sieve10k):
-    assert distinct_prime_count(factorize(1, sieve10k)) == 0
-    assert distinct_prime_count(factorize(12, sieve10k)) == 2
-    assert distinct_prime_count(factorize(30, sieve10k)) == 3
+    assert distinct_prime_count(factorize(1)) == 0
+    assert distinct_prime_count(factorize(12)) == 2
+    assert distinct_prime_count(factorize(30)) == 3
 
 
 def test_exponent_power_sum_examples(sieve10k):
-    assert exponent_power_sum(factorize(1, sieve10k), 2) == 0
-    assert exponent_power_sum(factorize(12, sieve10k), 1) == 3
-    assert exponent_power_sum(factorize(12, sieve10k), 2) == 5
+    assert exponent_power_sum(factorize(1), 2) == 0
+    assert exponent_power_sum(factorize(12), 1) == 3
+    assert exponent_power_sum(factorize(12), 2) == 5
     with pytest.raises(ValueError):
-        exponent_power_sum(factorize(12, sieve10k), 0)
+        exponent_power_sum(factorize(12), 0)
 
 
 def test_totient_examples(sieve10k):
-    assert euler_totient(factorize(1, sieve10k)) == 1
-    assert euler_totient(factorize(12, sieve10k)) == sum(
+    assert euler_totient(factorize(1)) == 1
+    assert euler_totient(factorize(12)) == sum(
         1 for k in range(1, 12) if gcd(k, 12) == 1
     )
     for p in (2, 3, 97, 9973):
-        assert euler_totient(factorize(p, sieve10k)) == p - 1
+        assert euler_totient(factorize(p)) == p - 1
 
 
 def test_function_suite_against_enumeration(sieve10k):
     # full-range cross-check against divisor enumeration and exponent recount
     for n in range(1, 10**4 + 1):
-        f = factorize(n, sieve10k)
+        f = factorize(n)
         divs = divisors_of(n)
         assert divisor_count(f) == len(divs)
         assert divisor_power_sum(f, 0) == divisor_count(f)
@@ -216,29 +213,27 @@ def test_function_suite_against_enumeration(sieve10k):
 def test_totient_against_gcd_count(sieve10k):
     for n in range(1, 1500):
         expected = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-        assert euler_totient(factorize(n, sieve10k)) == expected
+        assert euler_totient(factorize(n)) == expected
 
 
 def test_totient_against_sieve_oracle(sieve10k):
     tot = totient_sieve(10**4)
     for n in range(1, 10**4 + 1):
-        assert euler_totient(factorize(n, sieve10k)) == tot[n]
+        assert euler_totient(factorize(n)) == tot[n]
 
 
 def test_prime_count_examples(sieve10k):
-    assert prime_count_upto(1, sieve10k) == 0
-    assert prime_count_upto(10, sieve10k) == 4
-    assert prime_count_upto(100, sieve10k) == 25
-    assert prime_count_upto(10**4, sieve10k) == sum(
+    assert prime_count_upto(1) == 0
+    assert prime_count_upto(10) == 4
+    assert prime_count_upto(100) == 25
+    assert prime_count_upto(10**4) == sum(
         1 for k in range(2, 10**4 + 1) if is_prime_by_trial(k)
     )
-    with pytest.raises(ValueError):
-        prime_count_upto(10**4 + 1, sieve10k)
 
 
 def test_primes_upto_helper(sieve10k):
     assert primes_upto(1) == []
-    assert primes_upto(10, sieve10k) == [2, 3, 5, 7]
+    assert primes_upto(10) == [2, 3, 5, 7]
 
 
 # --- partition counts --------------------------------------------------------
@@ -275,44 +270,71 @@ LOCAL_CASES = [
 
 @pytest.mark.parametrize("limit", [1, 2])
 def test_range_values_tiny_limits(limit):
-    sieve = build_sieve(2)
     for fn_id, t, per_n in LOCAL_CASES:
-        values = range_values(fn_id, limit, sieve, t)
-        assert values == [0] + [per_n(factorize(n, sieve)) for n in range(1, limit + 1)], (fn_id, t)
-    assert range_values("pi", limit, sieve) == [0, 0, 1][: limit + 1]
+        values = range_values(fn_id, limit, t)
+        assert values == [0] + [per_n(factorize(n)) for n in range(1, limit + 1)], (fn_id, t)
+    assert range_values("pi", limit) == [0, 0, 1][: limit + 1]
     assert range_values("partition", limit) == [0, 1, 2][: limit + 1]
 
 
 def test_range_values_match_factorize_everywhere(sieve100k):
     limit = 10**5
-    facs = [None] + [factorize(n, sieve100k) for n in range(1, limit + 1)]
+    facs = [None] + [factorize(n) for n in range(1, limit + 1)]
     for fn_id, t, per_n in LOCAL_CASES:
-        values = range_values(fn_id, limit, sieve100k, t)
+        values = range_values(fn_id, limit, t)
         assert len(values) == limit + 1
         bad = [n for n in range(1, limit + 1) if values[n] != per_n(facs[n])]
         assert not bad, (fn_id, t, bad[:5])
 
 
-def test_range_values_builds_a_sieve_when_needed(sieve10k):
-    assert range_values("sigma", 500, None, 2) == range_values("sigma", 500, sieve10k, 2)
-    small = build_sieve(50)
-    assert range_values("phi", 500, small) == range_values("phi", 500, sieve10k)
-
-
 def test_range_values_rejects_bad_arguments(sieve10k):
     with pytest.raises(ValueError):
-        range_values("d", 0, sieve10k)
+        range_values("d", 0)
     with pytest.raises(ValueError):
-        range_values("log", 10, sieve10k)
+        range_values("log", 10)
     with pytest.raises(ValueError):
-        range_values("sigma", 10, sieve10k, -1)
+        range_values("sigma", 10, -1)
     with pytest.raises(ValueError):
-        range_values("L", 10, sieve10k, 0)
+        range_values("L", 10, 0)
 
 
 def test_prime_count_prefix_matches_oracle_everywhere(sieve10k):
-    values = range_values("pi", 10**4, sieve10k)
-    assert all(values[n] == prime_count_upto(n, sieve10k) for n in range(1, 10**4 + 1))
+    values = range_values("pi", 10**4)
+    assert all(values[n] == prime_count_upto(n) for n in range(1, 10**4 + 1))
+
+
+def _sieve_of(monkeypatch, limit):
+    monkeypatch.setattr(core, "_spf", [])
+    return core.build_sieve(limit)
+
+
+def test_results_do_not_depend_on_the_shared_sieve(monkeypatch):
+    # the shared sieve empty, smaller than the request and larger: every call starts from it
+    top = 600
+    states = [[], _sieve_of(monkeypatch, 50), _sieve_of(monkeypatch, 5000)]
+    assert [len(spf) for spf in states] == [0, 51, 5001]
+    big = (97**20, 10**12 + 39)
+    calls = {
+        **{f"range_values {fn_id} {t}": partial(range_values, fn_id, top, t) for fn_id, t, _ in LOCAL_CASES},
+        "range_values pi": partial(range_values, "pi", top),
+        "range_values partition": partial(range_values, "partition", top),
+        "factorize": lambda: [factorize(n) for n in range(1, top + 1)],
+        "factorize beyond": lambda: [factorize(n) for n in big],
+        "primes_upto": partial(primes_upto, top),
+        "prime_count_upto": partial(prime_count_upto, top),
+        "sigma_2 eval": lambda: [make_handle("sigma", t=2).eval(n) for n in range(1, top + 1)],
+        "pi eval": lambda: make_handle("pi").eval(top),
+    }
+    results = []
+    for spf in states:
+        got = {}
+        for name, call in calls.items():
+            monkeypatch.setattr(core, "_spf", spf)
+            got[name] = call()
+        results.append(got)
+    assert results[0] == results[1] == results[2]
+    assert results[0]["factorize beyond"] == [trial_factorize(n) for n in big]
+    assert results[0]["prime_count_upto"] == len(results[0]["primes_upto"]) == 109
 
 
 def test_partition_range_reads_the_cache():
@@ -324,11 +346,11 @@ def test_per_term_broken_direct_handle_reports_n(sieve10k):
     def broken(n):
         if n == 37:
             raise ZeroDivisionError("bad")
-        return distinct_prime_count(factorize(n, sieve10k))
+        return distinct_prime_count(factorize(n))
 
     with pytest.raises(EvaluationError) as err:
-        verify_per_term(builtin_spec("lemma-c"), make_handle("d", sieve=sieve10k),
-                        ArithFnHandle("broken", broken), 100, sieve=sieve10k)
+        verify_per_term(builtin_spec("lemma-c"), make_handle("d"),
+                        ArithFnHandle("broken", broken), 100)
     assert err.value.n == 37
     assert err.value.name == "broken"
 
@@ -355,7 +377,7 @@ def sympy():
 def test_range_values_match_sympy(sympy, sieve100k, fn_id, t, name):
     oracle = getattr(sympy, name)
     args = () if t is None else (t,)
-    values = range_values(fn_id, SYMPY_LIMIT, sieve100k, t)
+    values = range_values(fn_id, SYMPY_LIMIT, t)
     bad = [n for n in range(1, SYMPY_LIMIT + 1) if values[n] != oracle(n, *args)]
     assert not bad, bad[:5]
 

@@ -23,23 +23,23 @@ from arithmos.identities import (
 
 def test_alpha_beta_empty_factorization(sieve10k):
     spec = builtin_spec("lemma-b", t=1)
-    assert alpha_beta(spec, factorize(1, sieve10k)) == (1, 0)
+    assert alpha_beta(spec, factorize(1)) == (1, 0)
 
 
 def test_alpha_beta_divisor_sum_weight(sieve10k):
     spec = builtin_spec("lemma-b", t=1)
-    assert alpha_beta(spec, factorize(12, sieve10k)) == (28, 2)
+    assert alpha_beta(spec, factorize(12)) == (28, 2)
 
 
 def test_alpha_beta_exponent_square_weight(sieve10k):
     spec = builtin_spec("lemma-d", t=2)
-    assert alpha_beta(spec, factorize(12, sieve10k)) == (1, 5)
+    assert alpha_beta(spec, factorize(12)) == (1, 5)
 
 
 def test_builtin_spec_values(sieve10k):
-    assert alpha_beta(builtin_spec("lemma-a"), factorize(30, sieve10k)) == (1, 3)
-    assert alpha_beta(builtin_spec("lemma-c"), factorize(12, sieve10k)) == (6, 2)
-    assert alpha_beta(builtin_spec("lemma-b", t=2), factorize(4, sieve10k)) == (21, 1)
+    assert alpha_beta(builtin_spec("lemma-a"), factorize(30)) == (1, 3)
+    assert alpha_beta(builtin_spec("lemma-c"), factorize(12)) == (6, 2)
+    assert alpha_beta(builtin_spec("lemma-b", t=2), factorize(4)) == (21, 1)
 
 
 def test_builtin_spec_validation():
@@ -64,10 +64,9 @@ def test_per_term_divisor_sum_identity(sieve10k):
     spec = builtin_spec("lemma-b", t=1)
     report = verify_per_term(
         spec,
-        make_handle("sigma", t=1, sieve=sieve10k),
-        make_handle("omega", sieve=sieve10k),
+        make_handle("sigma", t=1),
+        make_handle("omega"),
         1000,
-        sieve=sieve10k,
     )
     assert report.passed
     assert report.per_term_failures == ()
@@ -76,7 +75,7 @@ def test_per_term_divisor_sum_identity(sieve10k):
 def test_per_term_exponent_power_identity(sieve10k):
     spec = builtin_spec("lemma-d", t=2)
     report = verify_per_term(
-        spec, constant_one(), make_handle("L", t=2, sieve=sieve10k), 1000, sieve=sieve10k
+        spec, constant_one(), make_handle("L", t=2), 1000
     )
     assert report.passed
 
@@ -85,7 +84,7 @@ def test_per_term_negative_control(sieve10k):
     # deliberately wrong reference: distinct-prime exponent vs with-multiplicity
     spec = builtin_spec("lemma-a")
     report = verify_per_term(
-        spec, constant_one(), make_handle("bigomega", sieve=sieve10k), 100, sieve=sieve10k
+        spec, constant_one(), make_handle("bigomega"), 100
     )
     assert not report.passed
     assert report.per_term_failures[0] == 4
@@ -98,7 +97,7 @@ def test_per_term_range_validated(sieve10k):
 
 def test_alpha_multiplicative_beta_additive_by_construction(sieve10k):
     spec = builtin_spec("lemma-b", t=2)
-    ab = {n: alpha_beta(spec, factorize(n, sieve10k)) for n in range(1, 2001)}
+    ab = {n: alpha_beta(spec, factorize(n)) for n in range(1, 2001)}
     m = 1
     while m * m <= 2000:
         for n in range(m, 2000 // m + 1):
@@ -128,7 +127,7 @@ def test_sum_with_empty_range_is_one():
 def test_sum_at_x_one_matches_zeta_truncation(sieve10k):
     # with x = 1 every term is 1/n^k regardless of the exponent function
     spec = builtin_spec("lemma-a")
-    val = truncated_sum_eval(spec, 1, 2, 10, sieve=sieve10k)
+    val = truncated_sum_eval(spec, 1, 2, 10)
     assert val == exact_sum([Fraction(1, n * n) for n in range(1, 11)])
     assert val == Fraction(1968329, 1270080)
 
@@ -136,14 +135,14 @@ def test_sum_at_x_one_matches_zeta_truncation(sieve10k):
 def test_numeric_gap_example(sieve10k):
     # frozen from an independent computation of both truncations
     spec = builtin_spec("lemma-a")
-    check = numeric_identity_check(spec, Fraction(1, 2), 2, 100, 20, 10**4, sieve=sieve10k)
+    check = numeric_identity_check(spec, Fraction(1, 2), 2, 100, 20, 10**4)
     assert math.isclose(float(check.gap), 1.160744841252539e-3, rel_tol=1e-9)
 
 
 def test_numeric_gap_shrinks_with_bounds(sieve10k):
     spec = builtin_spec("lemma-c")
-    small = numeric_identity_check(spec, Fraction(1, 2), 3, 50, 8, 1000, sieve=sieve10k)
-    large = numeric_identity_check(spec, Fraction(1, 2), 3, 200, 16, 4000, sieve=sieve10k)
+    small = numeric_identity_check(spec, Fraction(1, 2), 3, 50, 8, 1000)
+    large = numeric_identity_check(spec, Fraction(1, 2), 3, 200, 16, 4000)
     assert large.gap <= small.gap
 
 
@@ -224,8 +223,7 @@ def test_per_term_propagates_evaluation_failure(sieve10k):
         verify_per_term(
             builtin_spec("lemma-a"),
             ArithFnHandle("broken", broken),
-            make_handle("omega", sieve=sieve10k),
+            make_handle("omega"),
             100,
-            sieve=sieve10k,
-        )
+            )
     assert err.value.n == 11

@@ -19,12 +19,12 @@ from arithmos.probnum import (
 
 @pytest.fixture(scope="module")
 def omega(sieve10k):
-    return make_handle("omega", sieve=sieve10k)
+    return make_handle("omega")
 
 
 @pytest.fixture(scope="module")
 def bigomega(sieve10k):
-    return make_handle("bigomega", sieve=sieve10k)
+    return make_handle("bigomega")
 
 
 def test_histogram_small(omega):

@@ -93,7 +93,7 @@ def test_brute_force_rejects_negative_limit():
 def test_four_square_counts_match_jacobi(sieve100k):
     # r_4(n) = 8 (sigma_1(n) - 4 sigma_1(n/4) [4 | n]) for every n <= 10^5
     n_max = 10**5
-    sigma = range_values("sigma", n_max, sieve100k, t=1)
+    sigma = range_values("sigma", n_max, t=1)
     counts = waring_counts(2, 4, n_max).counts
     assert counts[0] == 1
     mismatches = [
@@ -106,7 +106,7 @@ def test_four_square_counts_match_jacobi(sieve100k):
 def test_eight_square_counts_match_jacobi(sieve100k):
     # r_8(n) = 16 sigma_3(n) for odd n and 16 (16 sigma_3(n/2) - sigma_3(n)) for even n
     n_max = 2 * 10**4
-    sigma3 = range_values("sigma", n_max, sieve100k, t=3)
+    sigma3 = range_values("sigma", n_max, t=3)
     counts = waring_counts(2, 8, n_max).counts
     assert counts[0] == 1
     mismatches = [
