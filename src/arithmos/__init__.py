@@ -18,6 +18,7 @@ from .core import (
     factorize,
     partition_count,
     prime_count_upto,
+    prime_power_table,
     primes_upto,
     range_values,
     trial_factorize,
@@ -25,10 +26,10 @@ from .core import (
 from .identities import (
     IdentityCheckReport,
     LocalFactorSpec,
-    alpha_beta,
     builtin_spec,
     euler_zeta_check,
     partition_product_check,
+    spec_table,
     truncated_product_eval,
     truncated_sum_eval,
     verify_per_term,

@@ -8,8 +8,8 @@ over ``1..bound``, never a proof for all n.
 
 :func:`verify_decomposable` checks the stronger structural property that
 f is recovered from its own prime-power table ``g(p, a) = f(p^a)`` by
-multiplying (or adding) over the factorization — the unique candidate
-local factor, so no search is involved.
+multiplying (or adding) over the prime powers exactly dividing n — the
+unique candidate local factor, so no search is involved.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import eq as exact_eq
+from operator import add, mul, eq as exact_eq
 from typing import Callable, NamedTuple, Union
 
-from .core import build_sieve, factorize
+from .core import prime_power_table
 
 Value = Union[int, Fraction, float]
 
@@ -157,29 +157,17 @@ _MEMORY_NOTE = (
 
 
 def verify_decomposable(f: ArithFnHandle, mode: str, bound: int) -> DecomposabilityResult:
-    """Check f(n) against the product/sum of g(p_i, e_i) for every n <= bound."""
+    """Check f(n) against the product/sum of g(p_i, e_i) for 2 <= n <= bound; witness = first n that differs."""
     if mode not in ("multiplicative", "additive"):
         raise ValueError(f"mode must be 'multiplicative' or 'additive', got {mode!r}")
     if bound < 4:
         raise ValueError(f"bound must be >= 4, got {bound}")
     v = evaluate_range(f, bound)
     eq = _equal(f.value_kind)
-    build_sieve(bound)
-    witness = None
-    for n in range(2, bound + 1):
-        # g(p, a) = f(p^a) is read from the range itself: p^a <= n <= bound
-        factors = factorize(n).factors
-        if mode == "multiplicative":
-            combined: Value = 1
-            for p, a in factors:
-                combined = combined * v[p**a]
-        else:
-            combined = 0
-            for p, a in factors:
-                combined = combined + v[p**a]
-        if not eq(v[n], combined):
-            witness = n
-            break
+    # g(p, a) = f(p^a) is read from the range itself: p^a <= bound
+    combine, unit = (mul, 1) if mode == "multiplicative" else (add, 0)
+    rebuilt = prime_power_table(bound, lambda p, a: v[p**a], combine, unit)
+    witness = next((n for n in range(2, bound + 1) if not eq(v[n], rebuilt[n])), None)
     return DecomposabilityResult(
         name=f.name, mode=mode, bound=bound, ok=witness is None,
         witness=witness, note=_MEMORY_NOTE,

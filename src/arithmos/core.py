@@ -5,8 +5,9 @@ Everything here is exact integer arithmetic; values never pass through
 floats, so results like divisor power sums stay correct at any size.
 The module owns one sieve, grown by :func:`build_sieve` to the largest
 range asked for; every function that needs it asks for its range.
-:func:`factorize` walks the sieve inside it and trial-divides beyond it
-(for instance large prime powers).
+:func:`prime_power_table` tabulates a function from its prime-power values
+without factorizing; :func:`factorize`, the per-n route, walks the sieve
+inside it and trial-divides beyond it (for instance large prime powers).
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def primes_upto(limit: int) -> list[int]:
 def factorize(n: int) -> Factorization:
     """Factor ``n >= 1``: walk the sieve when it covers ``n``, else trial-divide.
 
-    Builds no sieve; a per-n loop calls :func:`build_sieve` once first.
+    Builds no sieve; to factor many n, grow it with :func:`build_sieve` first.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}; need a positive integer")
@@ -236,6 +237,26 @@ def range_values(fn_id: str, limit: int, t: int | None = None) -> list[int]:
                 e += 1
             values[n] = local(Factorization(((p, e),)))
     return values
+
+
+def prime_power_table(limit: int, local: Callable, combine: Callable, unit) -> list:
+    """``v`` over ``0..limit``: ``v[n]`` is ``unit`` combined with ``local(p, a)`` for
+    each ``p^a`` exactly dividing n, in increasing p; ``v[0]`` and ``v[1]`` stay ``unit``.
+
+    Per prime p, a row over the multiples of p gets ``local(p, a)`` at the multiples
+    of ``p^a`` for a = 1, 2, ... in turn, so the exact exponent is written last, and
+    is folded into ``v[p::p]``: one ``local`` call per prime power, no factorizing.
+    """
+    v = [unit] * (limit + 1)
+    for p in primes_upto(limit):
+        count = limit // p
+        row = [local(p, 1)] * count  # row[i] stands for n = (i + 1) * p
+        step, a = p, 2
+        while step <= count:
+            row[step - 1::step] = [local(p, a)] * (count // step)
+            step, a = step * p, a + 1
+        v[p::p] = map(combine, v[p::p], row)
+    return v
 
 
 # Cache of p(0), p(1), ... computed so far. Grown copy-on-write so that a

@@ -3,9 +3,9 @@
 ``make_handle`` wires the classical functions from :mod:`arithmos.core`
 into :class:`~arithmos.classify.ArithFnHandle` objects. Per-n ``eval`` of
 a handle backed by factorization calls :func:`~arithmos.core.factorize`,
-which walks the sieve of :mod:`arithmos.core` inside its range and
-trial-divides beyond it, so prime powers far above the sieve still
-evaluate exactly. Every handle except ``log`` also carries
+the per-n route: it walks the sieve of :mod:`arithmos.core` inside its
+range and trial-divides beyond it, so prime powers far above the sieve
+still evaluate exactly. Every handle except ``log`` also carries
 :func:`~arithmos.core.range_values`, which tabulates ``1..N`` in one pass
 over the sieve.
 """

@@ -7,17 +7,17 @@ induce the pair
     alpha(n) = product of theta(p_i, e_i)   (multiplicative by construction)
     beta(n)  = sum of kappa(p_i, e_i)       (additive by construction)
 
-over the factorization of n, and with them the formal identity
+over the prime powers exactly dividing n, and with them the formal identity
 
     prod_p (1 + sum_a theta(p,a) x^kappa(p,a) / p^(a k))
         = 1 + sum_{n>=2} alpha(n) x^beta(n) / n^k.
 
 Each side is checked two independent ways: per-term exact agreement of
-(alpha, beta) with directly computed reference functions for every n up
-to a bound (the combinatorial content of the identity — every summand
-arises from one choice of one term per prime), and numeric agreement of
-exact rational truncations of both sides, whose gap must shrink as the
-truncation bounds grow.
+:func:`spec_table`, a prime-power sieve over theta and kappa, with the
+direct functions' range tables for every n up to a bound (the
+combinatorial content of the identity — every summand arises from one
+choice of one term per prime), and numeric agreement of exact rational
+truncations of both sides, whose gap must shrink as the bounds grow.
 
 The classical zeta product and the partition generating product are kept
 alongside as self-contained oracles.
@@ -26,11 +26,11 @@ alongside as self-contained oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .classify import ArithFnHandle, evaluate_range
-from .core import Factorization, build_sieve, factorize, partition_count, primes_upto
+from .core import partition_count, prime_power_table, primes_upto
 from .powerseries import Rational, TruncatedSeries, as_rational
 
 
@@ -61,15 +61,9 @@ class IdentityCheckReport(NamedTuple):
         return not self.per_term_failures
 
 
-def alpha_beta(spec: LocalFactorSpec, f: Factorization) -> tuple[Rational, int]:
-    """The pair (alpha, beta) at one n: alpha multiplies theta and beta adds
-    kappa over the factorization; n = 1 gives (1, 0)."""
-    alpha: Rational = 1
-    beta = 0
-    for p, a in f.factors:
-        alpha = alpha * spec.theta(p, a)
-        beta += spec.kappa(p, a)
-    return alpha, beta
+def spec_table(spec: LocalFactorSpec, n_max: int) -> tuple[list[Rational], list[int]]:
+    """``(alpha, beta)`` over ``0..n_max``; n = 1 and the padding at 0 give (1, 0)."""
+    return prime_power_table(n_max, spec.theta, mul, 1), prime_power_table(n_max, spec.kappa, add, 0)
 
 
 #: The direct functions of each stock spec: identity id -> (alpha function id,
@@ -125,16 +119,13 @@ def verify_per_term(
     """Exact check that (alpha, beta) equal the direct functions for 2 <= n <= n_max."""
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    # the direct side comes from range tables, the spec side from per-n factorizations
+    # the direct side comes from the functions' range tables, the spec side from theta and kappa
     direct_a = evaluate_range(direct_alpha, n_max)
     direct_b = evaluate_range(direct_beta, n_max)
-    build_sieve(n_max)
-    failures = []
-    for n in range(2, n_max + 1):
-        alpha, beta = alpha_beta(spec, factorize(n))
-        if alpha != direct_a[n] or beta != direct_b[n]:
-            failures.append(n)
-    return IdentityCheckReport(tuple(failures))
+    alpha, beta = spec_table(spec, n_max)
+    return IdentityCheckReport(tuple(
+        n for n in range(2, n_max + 1) if alpha[n] != direct_a[n] or beta[n] != direct_b[n]
+    ))
 
 
 def exact_sum(terms: Sequence[Fraction]) -> Fraction:
@@ -194,21 +185,18 @@ def truncated_sum_eval(
     k: int,
     n_max: int,
 ) -> Fraction:
-    """Exact value of 1 + sum_{n=2..n_max} alpha(n) x^beta(n) / n^k."""
+    """Exact value of 1 + sum_{n=2..n_max} alpha(n) x^beta(n) / n^k, summed per value of beta(n)."""
     if k < 2:
         raise ValueError(f"k must be an integer >= 2 for convergent truncations, got {k}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    build_sieve(n_max)
     xf = Fraction(as_rational(x))
-    xpow: dict[int, Fraction] = {}
-    terms = []
+    alpha, beta = spec_table(spec, n_max)
+    groups: dict[int, list[Fraction]] = {}
     for n in range(2, n_max + 1):
-        alpha, beta = alpha_beta(spec, factorize(n))
-        if beta not in xpow:
-            xpow[beta] = xf**beta
-        terms.append(Fraction(alpha) * xpow[beta] / n**k)
-    return 1 + exact_sum(terms)
+        groups.setdefault(beta[n], []).append(Fraction(alpha[n], n**k))
+    del alpha, beta
+    return sum((xf**b * exact_sum(terms) for b, terms in groups.items()), Fraction(1))
 
 
 def numeric_identity_check(

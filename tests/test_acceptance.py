@@ -7,17 +7,20 @@ verdict lines.
 import random
 import time
 from fractions import Fraction
+from operator import and_
 
 import pytest
 
 from arithmos.classify import classify, exp_transform
-from arithmos.core import build_sieve, factorize, partition_count, prime_count_upto, primes_upto
+from arithmos.core import build_sieve, factorize, partition_count, prime_count_upto, prime_power_table, primes_upto
 from arithmos.functions import constant_one, make_handle
 from arithmos.identities import (
     builtin_spec,
     euler_zeta_check,
+    exact_sum,
     partition_product_check,
     partition_product_series,
+    spec_table,
     truncated_product_eval,
     truncated_sum_eval,
     verify_per_term,
@@ -84,6 +87,15 @@ def test_criterion_02_numeric_convergence(sieve100k):
     monotone = all(gaps[i + 1] <= gaps[i] for i in range(len(gaps) - 1))
     final_small = gaps[-1] < Fraction(1, 10**6)
     detail = "gaps " + " -> ".join(f"{float(g):.3e}" for g in gaps)
+    # Exact split of the last stage: the product expands to the terms of exactly the n whose primes
+    # are <= prime_bound and exponents <= exp_bound, so product - sum = beyond_n_max - missing_from_product.
+    covered = prime_power_table(n_max, lambda p, a: p <= prime_bound and a <= exp_bound, and_, True)
+    alpha, beta = spec_table(spec, n_max)
+    missing_terms = [Fraction(alpha[n], n**2) * x ** beta[n] for n in range(2, n_max + 1) if not covered[n]]
+    missing = exact_sum(missing_terms)
+    beyond = lhs - rhs + missing
+    detail += (f"; last stage: missing_from_product {float(missing):.3e} over {len(missing_terms)} terms,"
+               f" beyond_n_max {float(beyond):.3e}")
     _verdict(2, "numeric convergence", monotone and final_small, detail)
 
 

@@ -5,12 +5,14 @@ from math import gcd
 import pytest
 
 from arithmos.classify import (
+    REAL_TOL,
     ArithFnHandle,
     EvaluationError,
     classify,
     exp_transform,
     verify_decomposable,
 )
+from arithmos.core import factorize
 from arithmos.functions import make_handle
 
 
@@ -118,12 +120,32 @@ def test_decomposable_reports_witness(handles):
     res = verify_decomposable(handles["phi"], "additive", 100)
     assert not res.ok
     assert res.witness == 6
-    from arithmos.core import factorize
-
     h = handles["phi"].eval
     f = factorize(res.witness)
     combined = sum(h(p**a) for p, a in f.factors)
     assert h(res.witness) != combined
+
+
+def first_reconstruction_failure(f, mode, bound):
+    """Per-n oracle for verify_decomposable: fold f(p^a) over factorize(n), n = 2, 3, ..."""
+    v = [f.eval(n) if n else 0 for n in range(bound + 1)]
+    for n in range(2, bound + 1):
+        combined = 1 if mode == "multiplicative" else 0
+        for p, a in factorize(n).factors:
+            combined = combined * v[p**a] if mode == "multiplicative" else combined + v[p**a]
+        same = abs(v[n] - combined) <= REAL_TOL if f.value_kind == "real" else v[n] == combined
+        if not same:
+            return n
+    return None
+
+
+@pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+@pytest.mark.parametrize("fn_id", ["d", "phi", "omega", "bigomega", "partition", "pi", "log", "2^omega"])
+def test_decomposable_witness_matches_per_n_oracle(sieve10k, fn_id, mode):
+    f = exp_transform(make_handle("omega"), 2) if fn_id == "2^omega" else make_handle(fn_id)
+    witness = first_reconstruction_failure(f, mode, 3000)
+    res = verify_decomposable(f, mode, 3000)
+    assert (res.ok, res.witness) == (witness is None, witness)
 
 
 def test_decomposable_notes_memory_distinction(handles):

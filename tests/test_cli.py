@@ -430,6 +430,18 @@ REPORT_SHA256 = [
      "203d71245442dd85426dc33b00c762c86391f7e44a803d2973414f8cd96239aa"),
     (("waring", "--lemma-g", "2", "2", "--s", "2", "--order", "256", "--format", "structured"),
      "549f6ae06fa8f5f4e2776277785370e04b9a3e99ca2f74bf0b298ae1aced1c4b"),
+    (("classify", "--fn", "phi", "--bound", "2000", "--decomposable", "additive"),
+     "8b5730ce7a6e9dc0c139053e8700a6da363850f501a5f102aa04c19883f229c5"),
+    (("classify", "--fn", "log", "--bound", "2000", "--decomposable", "additive"),
+     "ac56c4e3ee6777c9696efac7acf6f9d33fcba599aab10a44e4115909401b08e1"),
+    (("classify", "--fn", "partition", "--bound", "500", "--decomposable", "multiplicative"),
+     "fcf74dcfccdc8da8c3e99eba23b85516dfbd6074af3822968d8aef5a7136eec5"),
+    (("verify", "--identity", "lemma-c", "--nmax", "2000", "--x", "3/7", "--k", "3", "--prime-bound", "100",
+      "--exp-bound", "8"),
+     "c26760af33b4078d6e3a596681b04d49833adcaf86acce553fdd44671295ecd2"),
+    (("verify", "--identity", "lemma-d", "--t", "2", "--nmax", "2000", "--x", "5/11", "--prime-bound", "100",
+      "--exp-bound", "8"),
+     "8adab9ca979f47ba2a95abcb8c4143785a59e6277865d75c04d21dd70806e885"),
 ]
 
 

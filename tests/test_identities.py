@@ -5,41 +5,110 @@ from math import gcd
 import pytest
 
 from arithmos.classify import ArithFnHandle
-from arithmos.core import factorize, partition_count
+from arithmos.core import factorize, partition_count, prime_power_table
 from arithmos.functions import constant_one, make_handle
 from arithmos.identities import (
-    alpha_beta,
+    LocalFactorSpec,
     builtin_spec,
     euler_zeta_check,
     exact_sum,
     numeric_identity_check,
     partition_product_check,
     partition_product_series,
+    spec_table,
     truncated_product_eval,
     truncated_sum_eval,
     verify_per_term,
 )
 
 
-def test_alpha_beta_empty_factorization(sieve10k):
+def alpha_beta(spec, f):
+    """Per-n oracle for :func:`spec_table`: multiply theta and add kappa over one factorization."""
+    alpha, beta = 1, 0
+    for p, a in f.factors:
+        alpha = alpha * spec.theta(p, a)
+        beta += spec.kappa(p, a)
+    return alpha, beta
+
+
+def at(spec, n):
+    alpha, beta = spec_table(spec, n)
+    return alpha[n], beta[n]
+
+
+def test_alpha_beta_empty_factorization():
     spec = builtin_spec("lemma-b", t=1)
-    assert alpha_beta(spec, factorize(1)) == (1, 0)
+    assert at(spec, 1) == (1, 0)
+    assert spec_table(spec, 0) == ([1], [0])
 
 
-def test_alpha_beta_divisor_sum_weight(sieve10k):
+def test_alpha_beta_divisor_sum_weight():
     spec = builtin_spec("lemma-b", t=1)
-    assert alpha_beta(spec, factorize(12)) == (28, 2)
+    assert at(spec, 12) == (28, 2)
 
 
-def test_alpha_beta_exponent_square_weight(sieve10k):
+def test_alpha_beta_exponent_square_weight():
     spec = builtin_spec("lemma-d", t=2)
-    assert alpha_beta(spec, factorize(12)) == (1, 5)
+    assert at(spec, 12) == (1, 5)
 
 
-def test_builtin_spec_values(sieve10k):
-    assert alpha_beta(builtin_spec("lemma-a"), factorize(30)) == (1, 3)
-    assert alpha_beta(builtin_spec("lemma-c"), factorize(12)) == (6, 2)
-    assert alpha_beta(builtin_spec("lemma-b", t=2), factorize(4)) == (21, 1)
+def test_builtin_spec_values():
+    assert at(builtin_spec("lemma-a"), 30) == (1, 3)
+    assert at(builtin_spec("lemma-c"), 12) == (6, 2)
+    assert at(builtin_spec("lemma-b", t=2), 4) == (21, 1)
+
+
+@pytest.mark.parametrize("which, t", [("lemma-a", None), ("lemma-b", 2), ("lemma-c", None), ("lemma-d", 2)])
+def test_spec_table_matches_per_n_oracle(sieve100k, which, t):
+    spec = builtin_spec(which, t)
+    n_max = 10**5
+    alpha, beta = spec_table(spec, n_max)
+    assert len(alpha) == len(beta) == n_max + 1
+    assert all((alpha[n], beta[n]) == alpha_beta(spec, factorize(n)) for n in range(1, n_max + 1))
+
+
+def test_spec_table_matches_per_n_oracle_on_a_rational_spec(sieve10k):
+    # theta is a Fraction, or 0 at every power of 5 and at the cubes of 3;
+    # kappa is negative at a = 1 and 0 at a = 2
+    def theta(p, a):
+        return 0 if p == 5 or (p, a) == (3, 3) else Fraction(a, p + 1)
+
+    spec = LocalFactorSpec("custom", theta, lambda p, a: a - 2)
+    n_max = 10**4
+    alpha, beta = spec_table(spec, n_max)
+    assert all((alpha[n], beta[n]) == alpha_beta(spec, factorize(n)) for n in range(1, n_max + 1))
+    assert alpha[10] == 0 and alpha[27] == 0 and alpha[6] == Fraction(1, 12)
+    assert beta[12] == -1 and beta[36] == 0
+
+
+def test_prime_power_table_small_limits():
+    calls = []
+
+    def local(p, a):
+        calls.append((p, a))
+        return p**a
+
+    assert prime_power_table(0, local, lambda u, g: u * g, 1) == [1]
+    assert prime_power_table(1, local, lambda u, g: u * g, 1) == [1, 1]
+    assert calls == []
+    assert prime_power_table(2, local, lambda u, g: u * g, 1) == [1, 1, 2]
+    assert calls == [(2, 1)]
+
+
+def test_prime_power_table_calls_local_once_per_prime_power():
+    calls = []
+
+    def local(p, a):
+        calls.append((p, a))
+        return (p, a)
+
+    v = prime_power_table(100, local, lambda u, g: u + (g,), ())
+    assert sorted(calls) == sorted(set(calls))
+    assert set(calls) == {(p, a) for p in (2, 3, 5, 7) for a in range(1, 7) if p**a <= 100} | {
+        (p, 1) for p in range(11, 101) if all(p % q for q in range(2, p))
+    }
+    assert v[72] == ((2, 3), (3, 2))
+    assert v[97] == ((97, 1),)
 
 
 def test_builtin_spec_validation():
@@ -95,15 +164,15 @@ def test_per_term_range_validated(sieve10k):
         verify_per_term(builtin_spec("lemma-a"), constant_one(), constant_one(), 1)
 
 
-def test_alpha_multiplicative_beta_additive_by_construction(sieve10k):
+def test_alpha_multiplicative_beta_additive_by_construction():
     spec = builtin_spec("lemma-b", t=2)
-    ab = {n: alpha_beta(spec, factorize(n)) for n in range(1, 2001)}
+    alpha, beta = spec_table(spec, 2000)
     m = 1
     while m * m <= 2000:
         for n in range(m, 2000 // m + 1):
             if gcd(m, n) == 1:
-                assert ab[m * n][0] == ab[m][0] * ab[n][0]
-                assert ab[m * n][1] == ab[m][1] + ab[n][1]
+                assert alpha[m * n] == alpha[m] * alpha[n]
+                assert beta[m * n] == beta[m] + beta[n]
         m += 1
 
 
