@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Iterable, Iterator
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
@@ -341,6 +342,10 @@ def classify_cmd(fn: str, t: int | None, bound: int, decomposable: str | None, o
     """Classify a function over 1..BOUND; the verdict lives in the report."""
     _check_range(bound, "--bound", 4, partition=fn == "partition")
     handle = _usage(make_handle, fn, t=t)
+    if decomposable:
+        # both checks read one table of f over 1..bound
+        values = evaluate_range(handle, bound)
+        handle = replace(handle, range_values=lambda _: values)
     body = run_classification(handle, bound)._asdict()
     body["note"] = f"verdicts are exact over 1..{bound} only"
     if decomposable:

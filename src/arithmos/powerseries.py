@@ -15,7 +15,11 @@ convolution. The slot width comes from an exact bound on the product's
 coefficients, with a sign bit only when a coefficient is negative; the
 low ``N + 1`` slots are read back and divided once by the two scales.
 ``ps_pow`` is binary powering over that product, and
-``ps_pow_recurrence`` is an independent O(N^2) route to the same power.
+``ps_pow_recurrence`` is an independent O(N^2) route to the same power:
+the J. C. P. Miller recurrence run on integers after one scaling by the
+lcm of the denominators, every step an exact division (a remainder
+raises :class:`ArithmeticError`), and one division by the scale's k-th
+power at the end.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from struct import pack, unpack_from
 from typing import Union
 
@@ -215,29 +220,40 @@ def ps_pow(a: TruncatedSeries, k: int) -> TruncatedSeries:
 
 
 def ps_pow_recurrence(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    """k-th power via the classical coefficient recurrence (needs a_0 != 0).
+    """k-th power via the J. C. P. Miller recurrence (needs a_0 != 0), in integers.
 
-    With g = a^k the coefficients satisfy
+    With g = a^k the coefficients satisfy (Knuth, TAOCP Vol. 2, 4.7)
 
-        n * a_0 * g_n = sum_{j=1..n} ((k+1) j - n) * a_j * g_{n-j},  g_0 = a_0^k,
+        n * a_0 * g_n = sum_{j=1..n} ((k+1) j - n) * a_j * g_{n-j},  g_0 = a_0^k.
 
-    which costs O(N^2) rational operations in total instead of per
-    multiplication. Output is identical to :func:`ps_pow`.
+    The series is scaled once to integers ``A = D * a``, with ``D`` the lcm
+    of its denominators, so ``G = A^k`` has integer coefficients and
+    ``n * A_0`` divides every right-hand side exactly. The two inner sums
+    ``sum j*A_j*G_{n-j}`` and ``sum A_j*G_{n-j}`` run at C level on ints;
+    a division that leaves a remainder raises :class:`ArithmeticError`,
+    an internal check of the recurrence. Each ``G_n`` is divided once by
+    ``D^k`` at the end; integral quotients stay ``int``. The cost is
+    O(N^2) integer operations, and nothing here goes through
+    :func:`ps_mul`, which this route checks. Output is identical to
+    :func:`ps_pow`.
     """
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    a0 = a.coeffs[0]
-    if a0 == 0:
+    if a.coeffs[0] == 0:
         raise ValueError("recurrence needs a nonzero constant term; use ps_pow")
-    n_max = a.order
-    g: list[Rational] = [0] * (n_max + 1)
-    g[0] = a0**k
-    ac = a.coeffs
-    for n in range(1, n_max + 1):
-        total: Rational = 0
-        for j in range(1, n + 1):
-            aj = ac[j]
-            if aj:
-                total += ((k + 1) * j - n) * aj * g[n - j]
-        g[n] = as_rational(Fraction(total) / (n * a0))
-    return TruncatedSeries(n_max, tuple(g))
+    den = lcm(*(c.denominator for c in a.coeffs))
+    head, *tail = [c.numerator * (den // c.denominator) for c in a.coeffs]
+    weighted = [j * c for j, c in enumerate(tail, 1)]
+    g = [head**k]
+    for n in range(1, a.order + 1):
+        # map stops at the shorter operand, so each sum reads G_{n-1}, ..., G_0 only
+        rev = g[::-1]
+        rhs = (k + 1) * sum(map(mul, weighted, rev)) - n * sum(map(mul, tail, rev))
+        q, r = divmod(rhs, n * head)
+        if r:
+            raise ArithmeticError(f"recurrence step {n} leaves remainder {r} on division by {n * head}")
+        g.append(q)
+    scale = den**k
+    if scale != 1:
+        g = [Fraction(c, scale) if c % scale else c // scale for c in g]
+    return _trusted(a.order, tuple(g))

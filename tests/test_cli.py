@@ -176,6 +176,25 @@ def test_classify_with_decomposable_section():
     assert body_of(res)["decomposable"]["ok"] is True
 
 
+@pytest.mark.parametrize("fn, mode", [("sigma", "multiplicative"), ("bigomega", "additive")])
+def test_classify_decomposable_builds_one_range_table(monkeypatch, fn, mode):
+    from arithmos import functions
+
+    builds = []
+    real = functions.range_values
+
+    def counting(fn_id, limit, t=None):
+        builds.append((fn_id, limit))
+        return real(fn_id, limit, t=t)
+
+    monkeypatch.setattr(functions, "range_values", counting)
+    args = ("classify", "--fn", fn, "--bound", "2000", "--decomposable", mode)
+    res = run(*args)
+    assert res.exit_code == 0
+    assert builds == [(fn, 2000)]
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == dict(REPORT_SHA256)[args]
+
+
 # --- waring -------------------------------------------------------------------
 
 def test_waring_table_with_bruteforce_check():

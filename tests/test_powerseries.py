@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from arithmos.powerseries import (
     Rational,
     TruncatedSeries,
+    as_rational,
     format_rational,
     parse_rational,
     ps_mul,
@@ -70,6 +72,70 @@ def test_pow_recurrence_needs_constant_term():
     a = TruncatedSeries.from_coeffs([0, 1, 1])
     with pytest.raises(ValueError):
         ps_pow_recurrence(a, 2)
+
+
+def assert_same_power(a: TruncatedSeries, k: int) -> None:
+    """The recurrence equals binary powering, with ``int`` exactly where the value is integral."""
+    got = ps_pow_recurrence(a, k)
+    assert got == ps_pow(a, k)
+    assert [type(c) for c in got.coeffs] == [int if c == int(c) else Fraction for c in got.coeffs]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_pow_recurrence_negative_fraction_constant_coprime_denominators(k):
+    # denominators 4, 15, 7 and 9: the integer scale is their lcm 1260, no single one of them
+    a = TruncatedSeries.from_coeffs(
+        [Fraction(-3, 4), Fraction(2, 15), 0, Fraction(-5, 7), 1, Fraction(4, 9), -2]
+    )
+    assert_same_power(a, k)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_pow_recurrence_integer_series_with_large_constant(k):
+    # n * a_0 divides every step exactly, and every coefficient of the power is an int
+    for a0 in (-6, 4, 9):
+        a = TruncatedSeries.from_coeffs([a0, 4, 9, -2, 0, 7, 3, -8, 1])
+        assert_same_power(a, k)
+        assert all(type(c) is int for c in ps_pow_recurrence(a, k).coeffs)
+
+
+def test_pow_recurrence_first_power_is_the_series():
+    for coeffs in ([Fraction(-3, 4), Fraction(2, 15), 5, 0, Fraction(7, 6)], [3, -1, 0, 2], [Fraction(1, 2)]):
+        a = TruncatedSeries.from_coeffs(coeffs)
+        got = ps_pow_recurrence(a, 1)
+        assert got == a
+        assert [type(c) for c in got.coeffs] == [type(c) for c in a.coeffs]
+
+
+@pytest.mark.parametrize("a0", [Fraction(-2, 3), 5, -1])
+def test_pow_recurrence_zero_tail(a0):
+    a = TruncatedSeries.from_coeffs([a0] + [0] * 9)
+    for k in (1, 2, 5):
+        assert ps_pow_recurrence(a, k).coeffs == (as_rational(Fraction(a0) ** k),) + (0,) * 9
+        assert_same_power(a, k)
+
+
+def test_pow_recurrence_does_not_use_the_product_it_checks(monkeypatch):
+    from arithmos import powerseries
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the recurrence must not go through the Kronecker product")
+
+    a = TruncatedSeries.from_coeffs([Fraction(-3, 4), Fraction(2, 15), 1, -5])
+    want = ps_pow(a, 4)
+    for name in ("ps_mul", "_scaled", "_pack", "_pack_operand"):
+        monkeypatch.setattr(powerseries, name, forbidden)
+    assert ps_pow_recurrence(a, 4) == want
+
+
+@pytest.mark.parametrize("order, k, dens", [(2048, 7, (1, 2, 3, 6)), (4096, 3, (1, 2))])
+def test_pow_recurrence_matches_pow_at_large_order(order, k, dens):
+    # signed rational series large enough that an off-by-one or a lost remainder would show
+    rng = random.Random(f"recurrence/{order}/{k}")
+    coeffs = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(order + 1)]
+    coeffs[0] = Fraction(rng.choice([-7, -5, 5, 7]), max(dens))
+    a = TruncatedSeries.from_coeffs(coeffs)
+    assert ps_pow_recurrence(a, k) == ps_pow(a, k)
 
 
 def test_eval_examples():
