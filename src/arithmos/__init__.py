@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 from .classify import ArithFnHandle, ClassificationReport, classify, exp_transform, verify_decomposable
 from .core import (
-    Factorization,
     build_sieve,
     divisor_count,
     divisor_power_sum,
@@ -42,14 +41,9 @@ from .powerseries import (
 )
 from .probnum import ArithPolynomial, Pmf, build_polynomial, eval_at_one, moment, normalize
 from .waring import (
-    RepCountTable,
     brute_force_count,
-    correlation_counts,
     essentially_distinct_two_squares,
-    four_square_counts,
     generalized_theta,
-    theta_series,
-    two_square_counts,
     verify_lemma_g,
     waring_counts,
 )

@@ -24,8 +24,8 @@ from .core import prime_power_table
 
 Value = Union[int, Fraction, float]
 
-#: Absolute tolerance for handles declared ``value_kind="real"`` (for
-#: instance the natural logarithm). Exact kinds compare with == only.
+#: Absolute tolerance for handles declared ``real=True`` (for instance the
+#: natural logarithm). Every other handle compares with == only.
 REAL_TOL = 1e-9
 
 
@@ -44,15 +44,16 @@ class ArithFnHandle:
     """A named arithmetical function.
 
     ``eval`` must be a deterministic, reentrant map from positive integers
-    to exact values (or floats when ``value_kind="real"``), total on any
-    range under test and not identically zero there. ``range_values``,
-    when present, maps N to the list ``v`` with ``v[n] = eval(n)`` for
-    ``1 <= n <= N`` computed in one pass (see :func:`evaluate_range`).
+    to exact values (floats when ``real``, compared within :data:`REAL_TOL`),
+    total on any range under test and not identically zero there.
+    ``range_values``, when present, maps N to the list ``v`` with
+    ``v[n] = eval(n)`` for ``1 <= n <= N`` computed in one pass (see
+    :func:`evaluate_range`).
     """
 
     name: str
     eval: Callable[[int], Value]
-    value_kind: str = "integer"  # "integer" | "rational" | "real"
+    real: bool = False
     range_values: Callable[[int], list[Value]] | None = None
 
 
@@ -98,10 +99,8 @@ def evaluate_range(f: ArithFnHandle, bound: int) -> list[Value]:
     return values
 
 
-def _equal(kind: str) -> Callable[[Value, Value], bool]:
-    if kind == "real":
-        return lambda a, b: abs(a - b) <= REAL_TOL
-    return exact_eq
+def _close(a: Value, b: Value) -> bool:
+    return abs(a - b) <= REAL_TOL
 
 
 def classify(f: ArithFnHandle, bound: int) -> ClassificationReport:
@@ -111,7 +110,7 @@ def classify(f: ArithFnHandle, bound: int) -> ClassificationReport:
     v = evaluate_range(f, bound)
     if not any(v[1:]):
         raise ValueError(f"{f.name} is identically zero on 1..{bound}")
-    eq = _equal(f.value_kind)
+    eq = _close if f.real else exact_eq
 
     # Each pair tests the product and the sum equation once; a failure is a
     # witness for the complete law at once and for the coprime-only law when
@@ -145,7 +144,7 @@ def classify(f: ArithFnHandle, bound: int) -> ClassificationReport:
         additive="additive" not in witnesses,
         completely_additive="completely_additive" not in witnesses,
         witnesses=witnesses,
-        approximate=f.value_kind == "real",
+        approximate=f.real,
     )
 
 
@@ -163,7 +162,7 @@ def verify_decomposable(f: ArithFnHandle, mode: str, bound: int) -> Decomposabil
     if bound < 4:
         raise ValueError(f"bound must be >= 4, got {bound}")
     v = evaluate_range(f, bound)
-    eq = _equal(f.value_kind)
+    eq = _close if f.real else exact_eq
     # g(p, a) = f(p^a) is read from the range itself: p^a <= bound
     combine, unit = (mul, 1) if mode == "multiplicative" else (add, 0)
     rebuilt = prime_power_table(bound, lambda p, a: v[p**a], combine, unit)
@@ -196,4 +195,4 @@ def exp_transform(f: ArithFnHandle, base: int) -> ArithFnHandle:
             raise ValueError(f"{_name}({n}) = {val} is negative; exact transform unsupported")
         return _base**val
 
-    return ArithFnHandle(name=f"{base}^{f.name}", eval=ev, value_kind="integer")
+    return ArithFnHandle(name=f"{base}^{f.name}", eval=ev)

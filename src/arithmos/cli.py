@@ -250,11 +250,20 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
            prime_bound: int, exp_bound: int, x: str | None, k: int | None,
            gap_tol: str | None, out: str | None) -> None:
     """Verify an identity; exit 0 only if every requested check passes."""
+    # a flag that this identity never reads exits 2, whether it was given or came from --config
+    lemma = identity in LEMMA_DIRECT
+    numeric = lemma and x is not None
+    read = {"--x": (x, lemma), "--t": (t, lemma), "--k": (k, numeric),
+            "--gap-tol": (gap_tol, numeric or identity == "euler-product")}
+    for flag, (value, used) in read.items():
+        if value is not None and not used:
+            unless = " without --x" if lemma else ""
+            raise click.UsageError(f"{flag} is not read by --identity {identity}{unless}")
     gap_tol_value = _parse_rational_opt(gap_tol, "--gap-tol")
     body: dict = {}
     all_passed = True
 
-    if identity in LEMMA_DIRECT:
+    if lemma:
         _check_range(nmax, "--nmax", 2)
         spec = _usage(builtin_spec, identity, t=t)
         x_value = _parse_rational_opt(x, "--x")
@@ -281,10 +290,10 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
             num = numeric_identity_check(spec, x_value, k_value, prime_bound, exp_bound, nmax)
             numeric_passed = None if gap_tol_value is None else num.gap <= gap_tol_value
             body["numeric"] = {
-                "x": format_rational(num.x),
+                "x": format_rational(x_value),
                 "k": k_value,
-                "prime_bound": num.prime_bound,
-                "exp_bound": num.exp_bound,
+                "prime_bound": prime_bound,
+                "exp_bound": exp_bound,
                 "n_max": nmax,
                 "product": _decimal(num.lhs),
                 "sum": _decimal(num.rhs),
@@ -371,6 +380,8 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
     _check_range(order, "--order", 0)
     if t is None and lemma_g is None:
         raise click.UsageError("provide --t for a count table and/or --lemma-g T R")
+    if t is None and check_bruteforce is not None:
+        raise click.UsageError("--check-bruteforce checks the count table; it needs --t")
     if t is not None and t < 1:
         raise click.UsageError("--t must be >= 1")
     if lemma_g is not None and min(lemma_g) < 1:
@@ -382,7 +393,7 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
         base = integer_root(top, s) + 1
         # base**t tuples bound the enumeration; an exponent past the ceiling's bit length
         # already decides the comparison for base >= 2, so base**t is never built huge
-        if t is not None and base ** min(t, RANGE_CEILING.bit_length()) > RANGE_CEILING:
+        if base ** min(t, RANGE_CEILING.bit_length()) > RANGE_CEILING:
             raise click.UsageError(
                 f"--check-bruteforce {top} enumerates up to {base}**{t} tuples, "
                 f"more than the range ceiling {RANGE_CEILING}"
@@ -393,10 +404,10 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
     if t is not None:
         counts = waring_counts(s, t, order)
         if format == "structured":
-            body["counts"] = list(counts.counts)
+            body["counts"] = list(counts)
         if check_bruteforce is not None:
             enumerated = brute_force_count(top, s, t)
-            mismatches = [m for m in range(top + 1) if counts.counts[m] != enumerated[m]]
+            mismatches = [m for m in range(top + 1) if counts[m] != enumerated[m]]
             body["bruteforce_check"] = {
                 "limit": top, "mismatches": mismatches, "passed": not mismatches,
             }
@@ -408,7 +419,7 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
 
     body["all_passed"] = bool(all_passed)
     if format == "csv" and t is not None:
-        _emit(_csv(("m", "count"), enumerate(counts.counts)), out)
+        _emit(_csv(("m", "count"), enumerate(counts)), out)
     else:
         _emit(_structured(body), out)
     if not all_passed:
@@ -428,6 +439,8 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
 def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str | None) -> None:
     """Exponent histogram over 1..M, its exact PMF, and the first four moments."""
     _check_range(m, "--M", 1, partition=beta == "partition")
+    if roots and format == "csv":
+        raise click.UsageError("--roots is reported in the structured format only, not with --format csv")
     _check_digits(beta, t, m, 1 if format == "csv" else 4)
     handle = _usage(make_handle, beta, t=t)
     poly = build_polynomial(handle, m)

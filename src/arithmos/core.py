@@ -8,23 +8,20 @@ range asked for; every function that needs it asks for its range.
 :func:`prime_power_table` tabulates a function from its prime-power values
 without factorizing; :func:`factorize`, the per-n route, walks the sieve
 inside it and trial-divides beyond it (for instance large prime powers).
+A factorization is the plain tuple of its ``(prime, exponent)`` pairs,
+:data:`Factors`, which the per-n functions such as :func:`euler_totient` read.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 from operator import add, mul
-from typing import Callable, NamedTuple
+from typing import Callable
 
 
-class Factorization(NamedTuple):
-    """Prime factorization ``n = p_1^e_1 * ... * p_l^e_l``.
-
-    ``factors`` holds ``(prime, exponent)`` pairs with primes strictly
-    increasing and every exponent >= 1; it is empty exactly when ``n == 1``.
-    """
-
-    factors: tuple[tuple[int, int], ...]
+#: A prime factorization ``n = p_1^e_1 * ... * p_l^e_l`` as its ``(prime, exponent)``
+#: pairs, primes strictly increasing and every exponent >= 1; empty exactly when n = 1.
+Factors = tuple[tuple[int, int], ...]
 
 
 # Smallest-prime-factor table: _spf[k] is the least prime dividing k for
@@ -60,7 +57,7 @@ def primes_upto(limit: int) -> list[int]:
     return [p for p in range(2, limit + 1) if spf[p] == p]
 
 
-def factorize(n: int) -> Factorization:
+def factorize(n: int) -> Factors:
     """Factor ``n >= 1``: walk the sieve when it covers ``n``, else trial-divide.
 
     Builds no sieve; to factor many n, grow it with :func:`build_sieve` first.
@@ -79,10 +76,10 @@ def factorize(n: int) -> Factorization:
             m //= p
             e += 1
         factors.append((p, e))
-    return Factorization(tuple(factors))
+    return tuple(factors)
 
 
-def trial_factorize(n: int) -> Factorization:
+def trial_factorize(n: int) -> Factors:
     """Factor ``n`` by trial division; no sieve needed, any positive ``n``."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}; need a positive integer")
@@ -105,23 +102,23 @@ def trial_factorize(n: int) -> Factorization:
         p += 2
     if m > 1:
         factors.append((m, 1))
-    return Factorization(tuple(factors))
+    return tuple(factors)
 
 
-def divisor_count(f: Factorization) -> int:
+def divisor_count(f: Factors) -> int:
     """d(n): number of divisors, the product of (e_i + 1)."""
     out = 1
-    for _, e in f.factors:
+    for _, e in f:
         out *= e + 1
     return out
 
 
-def divisor_power_sum(f: Factorization, t: int) -> int:
+def divisor_power_sum(f: Factors, t: int) -> int:
     """sigma_t(n): sum of t-th powers of all divisors; t = 0 gives d(n)."""
     if t < 0:
         raise ValueError(f"divisor power must be >= 0, got {t}")
     out = 1
-    for p, e in f.factors:
+    for p, e in f:
         pt = p**t
         term = 1
         acc = 1
@@ -132,22 +129,22 @@ def divisor_power_sum(f: Factorization, t: int) -> int:
     return out
 
 
-def distinct_prime_count(f: Factorization) -> int:
+def distinct_prime_count(f: Factors) -> int:
     """omega(n): number of distinct prime divisors; omega(1) = 0."""
-    return len(f.factors)
+    return len(f)
 
 
-def exponent_power_sum(f: Factorization, t: int) -> int:
+def exponent_power_sum(f: Factors, t: int) -> int:
     """L_t(n): sum of t-th powers of the exponents; L_1 is Omega(n)."""
     if t < 1:
         raise ValueError(f"exponent power must be >= 1, got {t}")
-    return sum(e**t for _, e in f.factors)
+    return sum(e**t for _, e in f)
 
 
-def euler_totient(f: Factorization) -> int:
+def euler_totient(f: Factors) -> int:
     """phi(n): count of 1 <= k <= n coprime to n; phi(1) = 1."""
     out = 1
-    for p, e in f.factors:
+    for p, e in f:
         out *= p ** (e - 1) * (p - 1)
     return out
 
@@ -160,7 +157,7 @@ def prime_count_upto(n: int) -> int:
     return sum(1 for k in range(2, n + 1) if spf[k] == k)
 
 
-def local_function(fn_id: str, t: int | None = None) -> tuple[Callable[[Factorization], int], bool]:
+def local_function(fn_id: str, t: int | None = None) -> tuple[Callable[[Factors], int], bool]:
     """The factorization-local function ``fn_id`` and whether it is additive.
 
     ``d``, ``sigma`` (t >= 0, default 1), ``phi`` are multiplicative and
@@ -224,7 +221,7 @@ def range_values(fn_id: str, limit: int, t: int | None = None) -> list[int]:
         q = n // p
         if q % p:
             low[n] = p
-            values[n] = combine(values[p], values[q]) if q > 1 else local(Factorization(((p, 1),)))
+            values[n] = combine(values[p], values[q]) if q > 1 else local(((p, 1),))
             continue
         pe = low[q] * p
         low[n] = pe
@@ -235,7 +232,7 @@ def range_values(fn_id: str, limit: int, t: int | None = None) -> list[int]:
             while q > p:
                 q //= p
                 e += 1
-            values[n] = local(Factorization(((p, e),)))
+            values[n] = local(((p, e),))
     return values
 
 

@@ -35,7 +35,7 @@ def make_handle(fn_id: str, t: int | None = None) -> ArithFnHandle:
         raise ValueError(f"parameter t does not apply to {fn_id!r}")
 
     if fn_id == "log":
-        return ArithFnHandle("log", math.log, value_kind="real")
+        return ArithFnHandle("log", math.log, real=True)
     name = fn_id
     if fn_id == "pi":
         ev = prime_count_upto

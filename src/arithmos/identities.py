@@ -43,9 +43,6 @@ class LocalFactorSpec(NamedTuple):
 
 
 class NumericCheck(NamedTuple):
-    x: Fraction
-    prime_bound: int
-    exp_bound: int
     lhs: Fraction  # truncated product
     rhs: Fraction  # truncated sum
     gap: Fraction
@@ -210,7 +207,7 @@ def numeric_identity_check(
     """Evaluate both truncations and report their exact absolute gap."""
     lhs = truncated_product_eval(spec, x, k, prime_bound, exp_bound)
     rhs = truncated_sum_eval(spec, x, k, n_max)
-    return NumericCheck(Fraction(x), prime_bound, exp_bound, lhs, rhs, abs(lhs - rhs))
+    return NumericCheck(lhs, rhs, abs(lhs - rhs))
 
 
 class EulerZetaCheck(NamedTuple):

@@ -110,46 +110,35 @@ def normalize_summable_series(a: TruncatedSeries) -> Pmf:
     return Pmf(support)
 
 
-def shifted_sign_scan(
-    p: ArithPolynomial,
-    lo: Rational = Fraction(-4),
-    hi: Rational = Fraction(2),
-    steps: int = 240,
-) -> dict:
-    """Count sign changes of P(x) - (M+1) on a uniform rational grid.
+#: The grid of :func:`shifted_sign_scan`: SCAN_STEPS + 1 evenly spaced points on
+#: [SCAN_LO, SCAN_HI], so x = 1 is grid point 200.
+SCAN_LO, SCAN_HI, SCAN_STEPS = Fraction(-4), Fraction(2), 240
 
-    Exact evaluation at steps+1 points; a sign change between neighbours
+
+def shifted_sign_scan(p: ArithPolynomial) -> dict:
+    """Count sign changes of P(x) - (M+1) on the fixed grid over [SCAN_LO, SCAN_HI].
+
+    Exact evaluation at SCAN_STEPS + 1 points; a sign change between neighbours
     certifies a real root in that subinterval, so the count is a lower
     bound on the number of real roots. Evidence only, nothing asserted.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    lof, hif = Fraction(as_rational(lo)), Fraction(as_rational(hi))
-    if hif <= lof:
-        raise ValueError("need lo < hi")
     shift = eval_at_one(p)
-    step = (hif - lof) / steps
-    signs = []
-    zeros = 0
-    for i in range(steps + 1):
-        val = Fraction(polynomial_eval(p, lof + i * step)) - shift
+    step = (SCAN_HI - SCAN_LO) / SCAN_STEPS
+    changes = zeros = 0
+    prev = None  # sign of the last nonzero value; exact zeros are skipped
+    for i in range(SCAN_STEPS + 1):
+        val = polynomial_eval(p, SCAN_LO + i * step) - shift
         if val == 0:
             zeros += 1
-        signs.append(0 if val == 0 else (1 if val > 0 else -1))
-    changes = 0
-    prev = None
-    for s in signs:
-        if s == 0:
             continue
-        if prev is not None and s != prev:
+        if prev is not None and (val > 0) != prev:
             changes += 1
-        prev = s
-    degree = p.terms[-1][0] if p.terms else 0
+        prev = val > 0
     return {
-        "lo": format_rational(lof),
-        "hi": format_rational(hif),
-        "steps": steps,
-        "degree": degree,
+        "lo": format_rational(SCAN_LO),
+        "hi": format_rational(SCAN_HI),
+        "steps": SCAN_STEPS,
+        "degree": p.terms[-1][0] if p.terms else 0,
         "sign_changes": changes,
         "exact_zeros_on_grid": zeros,
     }

@@ -1,13 +1,14 @@
 """Theta series, their powers, and representation counts for sums of powers.
 
-The generating series sum over all integers n of x^(n^s) (s even) has
-coefficient 2 at every positive s-th power and 1 at zero. Its t-th power
-counts ordered, signed integer tuples — zeros allowed — whose s-th powers
-sum to each index, which is the convention forced by the series algebra.
-The one-manner statements about primes use a different convention
-(unordered pairs of nonnegative integers); both are implemented and the
-multiplicity bridge between them is exercised in the tests rather than
-blurred here.
+The generating series sum over all integers n of x^(n^s) (s even),
+:func:`generalized_theta`, has coefficient 2 at every positive s-th power
+and 1 at zero. The coefficients of its t-th power, :func:`waring_counts`,
+count ordered, signed integer tuples — zeros allowed — whose s-th powers
+sum to each index, which is the convention forced by the series algebra;
+the square case with t = 2, 4, 8 gives r_2, r_4 and r_8. The one-manner
+statements about primes use a different convention (unordered pairs of
+nonnegative integers); both are implemented and the multiplicity bridge
+between them is exercised in the tests rather than blurred here.
 """
 
 from __future__ import annotations
@@ -62,36 +63,14 @@ def generalized_theta(s: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(coeffs))
 
 
-def theta_series(order: int) -> TruncatedSeries:
-    """The square case: coefficient 2 at each positive square, 1 at zero."""
-    return generalized_theta(2, order)
+def waring_counts(s: int, t: int, order: int) -> tuple[int, ...]:
+    """``counts[m]``: ordered signed integer t-tuples whose s-th powers sum to m, m <= order.
 
-
-class RepCountTable(NamedTuple):
-    """counts[m] = number of ordered signed integer t-tuples with sum of s-th powers m."""
-
-    s: int
-    t: int
-    order: int
-    counts: tuple[int, ...]
-
-
-def waring_counts(s: int, t: int, order: int) -> RepCountTable:
-    """Representation counts as coefficients of the t-th power of the theta series."""
+    The coefficients of the t-th power of :func:`generalized_theta`.
+    """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    series = ps_pow(generalized_theta(s, order), t)
-    return RepCountTable(s, t, order, tuple(series.coeffs))
-
-
-def four_square_counts(order: int) -> RepCountTable:
-    """Counts for sums of four squares (coefficients of the fourth power)."""
-    return waring_counts(2, 4, order)
-
-
-def two_square_counts(order: int) -> RepCountTable:
-    """Counts for sums of two squares (coefficients of the square)."""
-    return waring_counts(2, 2, order)
+    return ps_pow(generalized_theta(s, order), t).coeffs
 
 
 def essentially_distinct_two_squares(n: int) -> int:
@@ -105,15 +84,6 @@ def essentially_distinct_two_squares(n: int) -> int:
         if b * b == rest and b >= a:
             count += 1
     return count
-
-
-def correlation_counts(order: int) -> tuple[int, ...]:
-    """Coefficients of the eighth power of the theta series.
-
-    Equal, by definition of the Cauchy product, to the self-convolution of
-    the four-square count sequence including its constant 1.
-    """
-    return tuple(ps_pow(theta_series(order), 8).coeffs)
 
 
 class ConvolutionReport(NamedTuple):

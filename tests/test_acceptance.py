@@ -30,8 +30,6 @@ from arithmos.probnum import build_polynomial, eval_at_one, moment, normalize
 from arithmos.waring import (
     brute_force_count,
     essentially_distinct_two_squares,
-    four_square_counts,
-    two_square_counts,
     verify_lemma_g,
     waring_counts,
 )
@@ -156,17 +154,15 @@ def test_criterion_05_waring_oracle_equivalence():
     cases = [(2, 4, 200), (2, 2, 500), (4, 2, 200)]
     mismatched = []
     for s, t, top in cases:
-        counts = waring_counts(s, t, top).counts
+        counts = waring_counts(s, t, top)
         enumerated = brute_force_count(top, s, t)
         for m in range(top + 1):
             if counts[m] != enumerated[m]:
                 mismatched.append((s, t, m))
                 break
-    four = four_square_counts(8).counts
-    pairs = two_square_counts(8).counts
-    from arithmos.waring import correlation_counts
-
-    spots_ok = four[1] == 8 and pairs[1] == 4 and pairs[3] == 0 and correlation_counts(4)[1] == 16
+    four = waring_counts(2, 4, 8)
+    pairs = waring_counts(2, 2, 8)
+    spots_ok = four[1] == 8 and pairs[1] == 4 and pairs[3] == 0 and waring_counts(2, 8, 4)[1] == 16
     _verdict(
         5,
         "waring oracle equivalence",
@@ -192,7 +188,7 @@ def test_criterion_06_power_convolution():
 
 
 def test_criterion_07_fermat_laws(sieve10k):
-    ordered = two_square_counts(10**4).counts
+    ordered = waring_counts(2, 2, 10**4)
     problems = []
     for p in primes_upto(10**4):
         if p % 4 == 1:
@@ -205,7 +201,7 @@ def test_criterion_07_fermat_laws(sieve10k):
 
 
 def test_criterion_08_four_square_positivity():
-    counts = four_square_counts(2000).counts
+    counts = waring_counts(2, 4, 2000)
     zeros = [m for m, c in enumerate(counts) if c <= 0]
     _verdict(8, "four-square positivity", not zeros, "all counts positive to 2000" if not zeros else f"zeros at {zeros[:5]}")
 

@@ -122,7 +122,7 @@ def test_decomposable_reports_witness(handles):
     assert res.witness == 6
     h = handles["phi"].eval
     f = factorize(res.witness)
-    combined = sum(h(p**a) for p, a in f.factors)
+    combined = sum(h(p**a) for p, a in f)
     assert h(res.witness) != combined
 
 
@@ -131,9 +131,9 @@ def first_reconstruction_failure(f, mode, bound):
     v = [f.eval(n) if n else 0 for n in range(bound + 1)]
     for n in range(2, bound + 1):
         combined = 1 if mode == "multiplicative" else 0
-        for p, a in factorize(n).factors:
+        for p, a in factorize(n):
             combined = combined * v[p**a] if mode == "multiplicative" else combined + v[p**a]
-        same = abs(v[n] - combined) <= REAL_TOL if f.value_kind == "real" else v[n] == combined
+        same = abs(v[n] - combined) <= REAL_TOL if f.real else v[n] == combined
         if not same:
             return n
     return None
@@ -199,7 +199,7 @@ def test_exp_transform_rejects_negative_values():
 
 
 def test_exp_transform_rejects_fractional_values():
-    frac = ArithFnHandle("frac", lambda n: Fraction(1, 2), value_kind="rational")
+    frac = ArithFnHandle("frac", lambda n: Fraction(1, 2))
     g = exp_transform(frac, 3)
     with pytest.raises(ValueError):
         g.eval(5)
@@ -229,7 +229,7 @@ def test_additivity_transfers_to_multiplicativity_pairwise(handles):
 # --- approximate (real-valued) classification ----------------------------------
 
 def test_log_is_completely_additive_approximately():
-    log = ArithFnHandle("log", math.log, value_kind="real")
+    log = ArithFnHandle("log", math.log, real=True)
     rep = classify(log, 400)
     assert rep.approximate
     assert rep.completely_additive

@@ -147,6 +147,37 @@ def test_verify_euler_product():
     assert body_of(res)["euler"]["passed"] is True
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("a refused request must not start its work")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("identity, flag, value", [
+    ("euler-product", "--x", "1/2"),
+    ("euler-product", "--k", "3"),
+    ("euler-product", "--t", "2"),
+    ("partition-product", "--x", "1/2"),
+    ("partition-product", "--k", "3"),
+    ("partition-product", "--t", "2"),
+    ("partition-product", "--gap-tol", "1/2"),
+    ("lemma-a", "--k", "3"),
+    ("lemma-a", "--gap-tol", "1/2"),
+])
+def test_verify_unread_flag_rejected(monkeypatch, tmp_path, identity, flag, value, source):
+    # a flag that the identity never reads exits 2 naming it, before any check runs
+    for name in ("verify_per_term", "numeric_identity_check", "euler_zeta_check", "partition_product_check"):
+        monkeypatch.setattr(f"arithmos.cli.{name}", _no_work)
+    if source == "flag":
+        res = run("verify", "--identity", identity, flag, value)
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"verify": {flag[2:]: value}}))
+        res = run("--config", str(cfg), "verify", "--identity", identity)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"{flag} is not read by --identity {identity}" in res.stderr
+
+
 # --- classify ----------------------------------------------------------------
 
 def test_classify_sigma_multiplicative():
@@ -222,6 +253,14 @@ def test_waring_bruteforce_enumeration_above_ceiling_rejected():
     assert f"more than the range ceiling {RANGE_CEILING}" in res.output
 
 
+def test_waring_bruteforce_needs_a_count_table(monkeypatch):
+    monkeypatch.setattr("arithmos.cli.verify_lemma_g", _no_work)
+    res = run("waring", "--s", "2", "--lemma-g", "1", "1", "--order", "10", "--check-bruteforce", "5")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "--check-bruteforce checks the count table; it needs --t" in res.stderr
+
+
 def test_waring_convolution_check():
     res = run("waring", "--s", "2", "--lemma-g", "2", "2", "--order", "128")
     assert res.exit_code == 0
@@ -280,6 +319,14 @@ def test_probnum_roots_section():
     res = run("probnum", "--beta", "omega", "--M", "30", "--roots")
     assert res.exit_code == 0
     assert "sign_changes" in body_of(res)["root_scan"]
+
+
+def test_probnum_roots_rejected_with_csv(monkeypatch):
+    monkeypatch.setattr("arithmos.cli.build_polynomial", _no_work)
+    res = run("probnum", "--beta", "omega", "--M", "30", "--roots", "--format", "csv")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "--roots is reported in the structured format only" in res.stderr
 
 
 @pytest.mark.parametrize("beta, m", [("phi", "2000"), ("partition", "40")])

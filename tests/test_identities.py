@@ -25,7 +25,7 @@ from arithmos.identities import (
 def alpha_beta(spec, f):
     """Per-n oracle for :func:`spec_table`: multiply theta and add kappa over one factorization."""
     alpha, beta = 1, 0
-    for p, a in f.factors:
+    for p, a in f:
         alpha = alpha * spec.theta(p, a)
         beta += spec.kappa(p, a)
     return alpha, beta

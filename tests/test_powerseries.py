@@ -62,9 +62,9 @@ def test_pow_recurrence_matches_pow_binomial():
 
 
 def test_pow_recurrence_theta_fourth_power():
-    from arithmos.waring import theta_series
+    from arithmos.waring import generalized_theta
 
-    k = theta_series(100)
+    k = generalized_theta(2, 100)
     assert ps_pow_recurrence(k, 4) == ps_pow(k, 4)
 
 

@@ -6,6 +6,9 @@ from arithmos.classify import ArithFnHandle
 from arithmos.functions import make_handle
 from arithmos.powerseries import TruncatedSeries
 from arithmos.probnum import (
+    SCAN_HI,
+    SCAN_LO,
+    SCAN_STEPS,
     build_polynomial,
     eval_at_one,
     moment,
@@ -47,7 +50,7 @@ def test_histogram_rejects_bad_functions():
     with pytest.raises(ValueError):
         build_polynomial(ArithFnHandle("neg", lambda n: -1), 5)
     with pytest.raises(ValueError):
-        build_polynomial(ArithFnHandle("half", lambda n: Fraction(1, 2), value_kind="rational"), 5)
+        build_polynomial(ArithFnHandle("half", lambda n: Fraction(1, 2)), 5)
     with pytest.raises(ValueError):
         build_polynomial(ArithFnHandle("omega", lambda n: 0), 0)
 
@@ -150,21 +153,17 @@ def test_normalize_series_rejects_negative_and_zero():
 # --- real-root evidence scan -------------------------------------------------------
 
 def test_sign_scan_sees_the_root_at_one(omega):
-    # P(x) - (M+1) always vanishes at x = 1; the grid hits it exactly
-    scan = shifted_sign_scan(build_polynomial(omega, 3), lo=Fraction(-2), hi=Fraction(2), steps=8)
-    assert scan["exact_zeros_on_grid"] >= 1
+    # P(x) - (M+1) always vanishes at x = 1, which is grid point 200 of [-4, 2] in 240 steps;
+    # over 1..3 it is 2x - 2: one zero on the grid and one sign change across it
+    assert SCAN_LO + 200 * (SCAN_HI - SCAN_LO) / SCAN_STEPS == 1
+    scan = shifted_sign_scan(build_polynomial(omega, 3))
+    assert scan["exact_zeros_on_grid"] == 1
+    assert scan["sign_changes"] == 1
 
 
 def test_sign_scan_counts_changes(omega):
-    scan = shifted_sign_scan(build_polynomial(omega, 50), lo=Fraction(-5), hi=Fraction(3), steps=160)
+    scan = shifted_sign_scan(build_polynomial(omega, 50))
     assert scan["sign_changes"] >= 1
     assert scan["degree"] >= 2
+    assert (scan["lo"], scan["hi"], scan["steps"]) == ("-4/1", "2/1", 240)
     assert set(scan) == {"lo", "hi", "steps", "degree", "sign_changes", "exact_zeros_on_grid"}
-
-
-def test_sign_scan_validates_grid(omega):
-    poly = build_polynomial(omega, 10)
-    with pytest.raises(ValueError):
-        shifted_sign_scan(poly, lo=1, hi=0, steps=4)
-    with pytest.raises(ValueError):
-        shifted_sign_scan(poly, steps=0)
