@@ -21,7 +21,9 @@ from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 
@@ -66,8 +68,8 @@ ROOT_SCAN_DEGREE_CEILING = 1000
 #: the euler product side, about e^(s*prime_bound).
 DENOMINATOR_CEILING = 4 * 10**5
 
-#: Report chunks joined per write: the whole text of a large report is never held at once,
-#: and the chunks of one batch (for CSV, one string per line) stay under about 0.1 MB.
+#: Rows per chunk of a report's long arrays (CSV rows and FlatRows): the whole text of a
+#: large report is never held at once, and a chunk of small values stays under about 0.1 MB.
 EMIT_BATCH = 1024
 
 
@@ -116,6 +118,84 @@ def _decimal(value: Fraction) -> str:
     return f"{float(value):.12e}"
 
 
+class FlatRows(NamedTuple):
+    """A long array of a report, given by columns of equal length: row i holds the i-th
+    value of each column, as a list, or bare with one column. It renders as
+    ``list(zip(*columns))`` (or ``list(columns[0])``) would, in batches of EMIT_BATCH rows."""
+
+    columns: tuple[Iterable, ...]
+
+
+def _cell(column: list) -> str | None:
+    """The format field that prints each value of ``column`` as ``json.dumps`` would:
+    plain ints as numbers, strs of printable ASCII without quote or backslash as strings;
+    None when some value is neither (an escape, a bool, a float), which the encoder renders."""
+    kinds = set(map(type, column))
+    if kinds == {int}:
+        return "{}"
+    if kinds == {str}:
+        text = "".join(column)
+        if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+            return '"{}"'
+    return None
+
+
+def _json_rows(rows: FlatRows, pad: str) -> Iterator[str]:
+    """JSON text of ``rows`` as an array value on a line indented by ``pad``."""
+    inner = pad + "  "
+    # a row of several columns is a list, whose values sit one level deeper
+    sep = ",\n" + inner + "  " if len(rows.columns) > 1 else None
+    columns = [iter(column) for column in rows.columns]
+    opened = False
+    while (batch := [list(islice(column, EMIT_BATCH)) for column in columns])[0]:
+        cells = list(map(_cell, batch))
+        if None in cells:
+            values = list(zip(*batch)) if sep else batch[0]
+            text = "," + json.dumps(values, sort_keys=True, indent=2)[1:-2].replace("\n", "\n" + pad)
+        else:
+            row = f"[\n{inner}  " + sep.join(cells) + f"\n{inner}]" if sep else cells[0]
+            text = "".join(map((",\n" + inner + row).format, *batch))
+        # every row text starts with the comma that separates it from the row before
+        yield text if opened else "[" + text[1:]
+        opened = True
+    yield f"\n{pad}]" if opened else "[]"
+
+
+def render_json(doc) -> Iterator[str]:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` as text chunks, where ``doc`` may hold
+    FlatRows in place of lists: the envelope goes through the encoder in one piece, and
+    each FlatRows is rendered batch by batch at the place and indent the encoder gives it."""
+    flat: list[FlatRows] = []
+    # each FlatRows becomes the string marker + its index in flat; the marker holds NULs
+    # (encoded as \u0000) and grows until no other string of the doc encodes as one of these
+    marker = "\0"
+
+    def mark(node):
+        if isinstance(node, FlatRows):
+            flat.append(node)
+            return f"{marker}{len(flat) - 1}"
+        if isinstance(node, dict):
+            return {key: mark(value) for key, value in node.items()}
+        if isinstance(node, (list, tuple)):
+            return [mark(value) for value in node]
+        return node
+
+    while True:
+        flat.clear()
+        text = json.dumps(mark(doc), sort_keys=True, indent=2)
+        tokens = [json.dumps(f"{marker}{i}") for i in range(len(flat))]
+        if all(text.count(token) == 1 for token in tokens):
+            break
+        marker += "\0"
+    start = 0
+    for at, token, rows in sorted((text.index(token), token, rows) for token, rows in zip(tokens, flat)):
+        yield text[start:at]
+        line = text[text.rfind("\n", 0, at) + 1:at]
+        yield from _json_rows(rows, line[: len(line) - len(line.lstrip(" "))])
+        start = at + len(token)
+    yield text[start:]
+
+
 def _structured(body: dict) -> Iterator[str]:
     """The report of the running subcommand, as JSON text chunks; its parameters are the
     invocation's, less ``out``."""
@@ -131,26 +211,29 @@ def _structured(body: dict) -> Iterator[str]:
         },
         "body": body,
     }
-    return chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc), ("\n",))
+    return chain(render_json(doc), ("\n",))
 
 
-def _csv(header: tuple[str, ...], rows) -> Iterator[str]:
+def _csv(header: tuple[str, ...], *columns: Iterable) -> Iterator[str]:
+    """CSV text chunks: the header line, then row i from the i-th value of each column."""
     yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(map(str, row)) + "\n"
+    # no list per batch: one would hold EMIT_BATCH fresh ints of the range column at once
+    rows = map((",".join(["{}"] * len(columns)) + "\n").format, *columns)
+    yield from iter(lambda: "".join(islice(rows, EMIT_BATCH)), "")
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write a report's text chunks to ``out`` or stdout, joined in batches of EMIT_BATCH."""
-    chunks = iter(chunks)
-    batches = iter(lambda: "".join(islice(chunks, EMIT_BATCH)), "")
+    """Write a report's text chunks to ``out`` or stdout, each as it comes.
+
+    The report is never held whole: its long arrays arrive as chunks of EMIT_BATCH
+    rows, and the envelope around them in a few small pieces."""
     if out:
         with Path(out).open("w", encoding="utf-8") as fh:
-            fh.writelines(batches)
+            fh.writelines(chunks)
         click.echo(f"wrote {out}", err=True)
     else:
-        for batch in batches:
-            click.echo(batch, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
 
 
 def _parse_rational_opt(raw: str | None, flag: str) -> Fraction | None:
@@ -224,10 +307,9 @@ def table(fn: str, t: int | None, nmax: int, format: str, out: str | None) -> No
     handle = _usage(make_handle, fn, t=t)
     values = evaluate_range(handle, nmax)
     if format == "csv":
-        report = _csv(("n", "value"), ((n, values[n]) for n in range(1, nmax + 1)))
+        report = _csv(("n", "value"), range(1, nmax + 1), islice(values, 1, None))
     else:
-        rows = [[n, str(values[n])] for n in range(1, nmax + 1)]
-        del values  # the rows hold the report's memory peak; free the table first
+        rows = FlatRows((range(1, nmax + 1), map(str, islice(values, 1, None))))
         report = _structured({"function": handle.name, "rows": rows})
     _emit(report, out)
 
@@ -400,29 +482,32 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
             )
 
     body: dict = {}
-    all_passed = True
+    checks: dict[str, bool] = {}  # the verdict of each check run, by its report section
     if t is not None:
         counts = waring_counts(s, t, order)
         if format == "structured":
-            body["counts"] = list(counts)
+            body["counts"] = FlatRows((counts,))
         if check_bruteforce is not None:
             enumerated = brute_force_count(top, s, t)
             mismatches = [m for m in range(top + 1) if counts[m] != enumerated[m]]
             body["bruteforce_check"] = {
                 "limit": top, "mismatches": mismatches, "passed": not mismatches,
             }
-            all_passed &= not mismatches
+            checks["bruteforce_check"] = not mismatches
     if lemma_g is not None:
         conv = verify_lemma_g(s, *lemma_g, order)
         body["convolution_check"] = conv._asdict()
-        all_passed &= conv.ok
+        checks["convolution_check"] = conv.ok
 
-    body["all_passed"] = bool(all_passed)
+    body["all_passed"] = all(checks.values())
     if format == "csv" and t is not None:
-        _emit(_csv(("m", "count"), enumerate(counts)), out)
+        _emit(_csv(("m", "count"), range(len(counts)), counts), out)
+        if checks:  # the CSV holds the counts only, so the verdicts go to stderr
+            verdicts = (f"{name} {'passed' if ok else 'failed'}" for name, ok in checks.items())
+            click.echo("checks: " + ", ".join(verdicts), err=True)
     else:
         _emit(_structured(body), out)
-    if not all_passed:
+    if not body["all_passed"]:
         sys.exit(1)
 
 
@@ -446,8 +531,7 @@ def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str
     poly = build_polynomial(handle, m)
     pmf = normalize(poly)
     if format == "csv":
-        rows = [(value, format_rational(q)) for value, q in pmf.support]
-        _emit(_csv(("value", "probability"), rows), out)
+        _emit(_csv(("value", "probability"), *_pmf_columns(pmf)), out)
         return
     degree = poly.terms[-1][0]
     if roots and degree > ROOT_SCAN_DEGREE_CEILING:
@@ -458,16 +542,20 @@ def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str
     body = {
         "beta": handle.name,
         "M": m,
-        "polynomial": [[value, count] for value, count in poly.terms],
+        "polynomial": FlatRows((map(itemgetter(0), poly.terms), map(itemgetter(1), poly.terms))),
         "eval_at_one": eval_at_one(poly),
         "expected_at_one": m + 1,
-        "pmf": [[value, format_rational(q)] for value, q in pmf.support],
+        "pmf": FlatRows(_pmf_columns(pmf)),
         "total_probability": format_rational(sum(q for _, q in pmf.support)),
         "moments": {str(r): format_rational(moment(pmf, r)) for r in (1, 2, 3, 4)},
     }
     if roots:
         body["root_scan"] = shifted_sign_scan(poly)
     _emit(_structured(body), out)
+
+
+def _pmf_columns(pmf) -> tuple[Iterable, Iterable]:
+    return map(itemgetter(0), pmf.support), map(format_rational, map(itemgetter(1), pmf.support))
 
 
 def main() -> None:

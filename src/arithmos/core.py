@@ -14,6 +14,7 @@ A factorization is the plain tuple of its ``(prime, exponent)`` pairs,
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import isqrt
 from operator import add, mul
 from typing import Callable
@@ -149,12 +150,26 @@ def euler_totient(f: Factors) -> int:
     return out
 
 
+# (limit, primes <= limit) for prime_count_upto; like _spf, replaced as a whole, never mutated.
+_prime_list: tuple[int, list[int]] = (1, [])
+
+
 def prime_count_upto(n: int) -> int:
-    """pi(n): number of primes <= n."""
+    """pi(n): number of primes <= n, by bisection on a cached list of primes.
+
+    A list that falls short is replaced by one to at least twice its limit, so
+    per-n calls over ``1..N`` cost O(N) in all. This route is apart from the
+    running count of ``range_values("pi")``, so each checks the other.
+    """
+    global _prime_list
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
-    spf = build_sieve(n)
-    return sum(1 for k in range(2, n + 1) if spf[k] == k)
+    limit, primes = _prime_list
+    if n > limit:
+        limit = max(n, 2 * limit)
+        primes = primes_upto(limit)
+        _prime_list = (limit, primes)
+    return bisect_right(primes, n)
 
 
 def local_function(fn_id: str, t: int | None = None) -> tuple[Callable[[Factors], int], bool]:

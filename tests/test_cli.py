@@ -3,12 +3,24 @@ import json
 import re
 import sys
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arithmos.cli import DENOMINATOR_CEILING, PARTITION_CEILING, RANGE_CEILING, ROOT_SCAN_DEGREE_CEILING, cli
-from arithmos.waring import integer_root
+from arithmos import cli as cli_module
+from arithmos.cli import (
+    DENOMINATOR_CEILING,
+    PARTITION_CEILING,
+    RANGE_CEILING,
+    ROOT_SCAN_DEGREE_CEILING,
+    FlatRows,
+    cli,
+    render_json,
+)
+from arithmos.waring import integer_root, verify_lemma_g
 
 
 # the interpreter's int-to-str digit limit; 0 is none, and CPython's default is 4300
@@ -267,6 +279,29 @@ def test_waring_convolution_check():
     assert body_of(res)["convolution_check"]["ok"] is True
 
 
+WARING_CHECKED = ("waring", "--s", "2", "--t", "2", "--order", "5", "--lemma-g", "1", "1",
+                  "--check-bruteforce", "5")
+
+
+@pytest.mark.parametrize("broken, verdicts", [
+    (None, "bruteforce_check passed, convolution_check passed"),
+    ("brute_force_count", "bruteforce_check failed, convolution_check passed"),
+    ("verify_lemma_g", "bruteforce_check passed, convolution_check failed"),
+])
+def test_waring_csv_writes_its_check_verdicts_to_stderr(monkeypatch, broken, verdicts):
+    counts = run("waring", "--s", "2", "--t", "2", "--order", "5")
+    assert counts.exit_code == 0 and counts.stderr == ""  # no check ran, no verdict line
+    if broken == "brute_force_count":
+        monkeypatch.setattr("arithmos.cli.brute_force_count", lambda limit, s, t: [0] * (limit + 1))
+    elif broken == "verify_lemma_g":
+        monkeypatch.setattr("arithmos.cli.verify_lemma_g",
+                            lambda *args: verify_lemma_g(*args)._replace(ok=False, first_mismatch=3))
+    res = run(*WARING_CHECKED)
+    assert res.exit_code == (1 if broken else 0)
+    assert res.stdout == counts.stdout
+    assert res.stderr == f"checks: {verdicts}\n"
+
+
 def test_waring_odd_power_rejected():
     res = run("waring", "--s", "3", "--t", "2", "--order", "10")
     assert res.exit_code == 2
@@ -385,6 +420,20 @@ def test_out_writes_file(tmp_path):
     assert res.exit_code == 0
     doc = json.loads(target.read_text())
     assert doc["body"]["eval_at_one"] == 11
+
+
+@pytest.mark.parametrize("args", [
+    ("table", "--fn", "sigma", "--t", "2", "--nmax", "3000"),
+    ("table", "--fn", "sigma", "--t", "2", "--nmax", "3000", "--format", "structured"),
+    ("waring", "--s", "2", "--t", "4", "--order", "3000", "--format", "structured"),
+    ("probnum", "--beta", "d", "--M", "3000"),
+], ids=lambda args: " ".join(args[:2] + args[-2:]))
+def test_out_file_holds_the_stdout_bytes(tmp_path, args):
+    target = tmp_path / "report"
+    res = run(*args, "--out", str(target))
+    assert res.exit_code == 0
+    assert res.stdout == ""
+    assert target.read_bytes() == run(*args).stdout_bytes
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
@@ -508,11 +557,94 @@ REPORT_SHA256 = [
     (("verify", "--identity", "lemma-d", "--t", "2", "--nmax", "2000", "--x", "5/11", "--prime-bound", "100",
       "--exp-bound", "8"),
      "8adab9ca979f47ba2a95abcb8c4143785a59e6277865d75c04d21dd70806e885"),
+    # recorded before the long arrays were spliced into the envelope as flat rows
+    (("waring", "--s", "2", "--t", "4", "--order", "500", "--check-bruteforce", "200", "--format", "structured"),
+     "83471ad7f5a2aed962b999c7d6e2c5afbd368d4798285943abb9c63a8e89ec0b"),
+    (("probnum", "--beta", "d", "--M", "2000", "--format", "csv"),
+     "d828c9e352971f980a7772007a616f6e99af6ce8f37a7844a9b7f1da0ed1048d"),
+    (("table", "--fn", "d", "--nmax", "1", "--format", "structured"),
+     "60bf4a44370cec2cc5940c037767554813c8764604320dfc65dd29b62ba99e3f"),
+    (("probnum", "--beta", "omega", "--M", "1"),
+     "31f81529412b55a9e602854fc769567249723d9f578d7403773bdce497687676"),
 ]
 
 
-@pytest.mark.parametrize("args, digest", REPORT_SHA256, ids=[" ".join(a[:3]) for a, _ in REPORT_SHA256])
+def _pin_ids(pins):
+    """The first three arguments of each pin; all of them where those three repeat a pin's."""
+    ids = []
+    for args, _ in pins:
+        short = " ".join(args[:3])
+        ids.append(" ".join(args) if short in ids else short)
+    return ids
+
+
+@pytest.mark.parametrize("args, digest", REPORT_SHA256, ids=_pin_ids(REPORT_SHA256))
 def test_report_bytes_unchanged(args, digest):
     res = run(*args)
     assert res.exit_code == 0
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
+# --- report rendering ----------------------------------------------------------------------
+
+# strings the encoder escapes, and NUL-digit strings like the renderer's own placeholders
+ODD_TEXT = st.sampled_from(["\x000", "\x001", "\x00\x000", 'a"b', "\\", "\u00e9", "\x7f", "\n"])
+# cells of one column: plain ints (negative too), digit strings, any text, or a mix with
+# bools, floats and None
+COLUMN_KINDS = [
+    st.integers(-10**20, 10**20),
+    st.integers(-10**6, 10**6).map(str),
+    st.text(max_size=4) | ODD_TEXT,
+    st.one_of(st.integers(-9, 9), st.text(max_size=2), st.booleans(), st.floats(allow_nan=False), st.none()),
+]
+SCALARS = st.one_of(st.integers(-10**6, 10**6), st.text(max_size=4), ODD_TEXT, st.booleans(), st.none())
+
+
+@st.composite
+def flat_arrays(draw):
+    """A FlatRows of scalar rows (one column) or pair rows (two), and the list it stands for."""
+    n = draw(st.integers(0, 8))
+    columns = [draw(st.lists(draw(st.sampled_from(COLUMN_KINDS)), min_size=n, max_size=n))
+               for _ in range(draw(st.integers(1, 2)))]
+    plain = columns[0] if len(columns) == 1 else [list(row) for row in zip(*columns)]
+    return FlatRows(tuple(map(iter, columns))), plain  # columns are read once, like map objects
+
+
+@st.composite
+def report_docs(draw, depth=2):
+    """A dict with scalars and flat arrays, and below it dicts and lists holding more of them."""
+    doc, plain = {}, {}
+    for key in draw(st.lists(st.text(max_size=3) | ODD_TEXT, unique=True, max_size=4)):
+        kinds = ["scalar", "flat"] + (["dict", "list"] if depth > 1 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "scalar":
+            doc[key] = plain[key] = draw(SCALARS)
+        elif kind == "flat":
+            doc[key], plain[key] = draw(flat_arrays())
+        elif kind == "dict":
+            doc[key], plain[key] = draw(report_docs(depth - 1))
+        else:
+            item, item_plain = draw(flat_arrays())
+            value = draw(SCALARS)
+            doc[key], plain[key] = [value, item], [value, item_plain]
+    return doc, plain
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(report_docs())
+def test_flat_rows_render_as_the_json_encoder_would(case):
+    # batches of 3 rows, so that one array mixes batches of the template and of the encoder
+    doc, plain = case
+    with patch.object(cli_module, "EMIT_BATCH", 3):
+        assert "".join(render_json(doc)) == json.dumps(plain, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "structured"])
+def test_long_report_reaches_the_writer_in_small_chunks(monkeypatch, fmt):
+    sizes = []
+    emit = cli_module._emit
+    monkeypatch.setattr(cli_module, "_emit", lambda chunks, out: emit((sizes.append(len(c)) or c for c in chunks), out))
+    res = run("table", "--fn", "d", "--nmax", "200000", "--format", fmt)
+    assert res.exit_code == 0
+    assert sum(sizes) == len(res.stdout) > 10**6
+    assert max(sizes) <= 10**5
