@@ -54,7 +54,9 @@ RANGE_CEILING = 10**7
 
 #: Largest size of the partition paths (table/classify/probnum with partition and
 #: verify partition-product --order), below the range ceiling: p(n) has about
-#: 1.1*sqrt(n) digits, so the cost of these paths grows much faster than n.
+#: 1.1*sqrt(n) digits, so the cost of these paths grows much faster than n. At the
+#: ceiling a cold `verify partition-product --order 10000` takes about 0.66 s on a
+#: 2-vCPU x86-64 VM (Python 3.11).
 PARTITION_CEILING = 10**4
 
 #: Largest degree that probnum --roots scans: the scan raises a Fraction to every

@@ -26,6 +26,7 @@ alongside as self-contained oracles.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from operator import add, mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -241,18 +242,36 @@ def euler_zeta_check(s: int, n_max: int, prime_bound: int) -> EulerZetaCheck:
 def partition_product_series(order: int) -> TruncatedSeries:
     """Expand prod_{m=1..order} (1 + x^m + x^2m + ...) truncated at the order.
 
-    Multiplying by one truncated geometric factor is the in-place prefix
-    recurrence c[i] += c[i - m], applied for each stride m; the result is
-    identical to the dense truncated product but costs O(order^2) integer
-    additions overall. The recurrence runs in blocks of m: block
-    [i, i + m) adds the block before it, which is already final, so the
-    additions are the same and in the same order as one index at a time.
+    Multiplying by one truncated geometric factor 1/(1 - x^m) is the
+    in-place prefix recurrence c[i] += c[i - m], run in blocks of m: block
+    [i, i + m) adds the block before it, which is already final. One pass
+    per factor would be O(order^2) integer additions, so the factors are
+    split at s = isqrt(order). Taking s from each part of a partition into j
+    parts, all above s, leaves a partition into exactly j parts, so
+
+        prod_{m>s} 1/(1 - x^m) = sum_{j>=0} x^(j(s+1)) E_j,
+        E_j = 1/((1 - x)(1 - x^2)...(1 - x^j)),
+
+    and only j <= order // (s + 1) <= s reach the order. E_j grows from
+    E_{j-1} by one recurrence pass of stride j, cut to the length it
+    needs, and is added in at x^(j(s+1)); the factors m <= s are then one
+    recurrence pass each. That is O(order^1.5) additions: about 0.32
+    million at order 3000, against 4.5 million for one pass per factor.
+    Neither the series kernel nor the pentagonal recurrence is used, so
+    :func:`partition_product_check` compares two independent routes.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    for m in range(1, order + 1):
+    s = isqrt(order)
+    coeffs = [1] + [0] * order
+    parts = [1] + [0] * order
+    for j in range(1, order // (s + 1) + 1):
+        shift = j * (s + 1)
+        del parts[order + 1 - shift:]
+        for i in range(j, len(parts), j):
+            parts[i:i + j] = map(add, parts[i:i + j], parts[i - j:i])
+        coeffs[shift:] = map(add, coeffs[shift:], parts)
+    for m in range(1, s + 1):
         for i in range(m, order + 1, m):
             coeffs[i:i + m] = map(add, coeffs[i:i + m], coeffs[i - m:i])
     return TruncatedSeries(order, tuple(coeffs))

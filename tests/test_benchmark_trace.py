@@ -17,6 +17,7 @@ def _run(*args):
 
 
 VERIFY = ("verify", "--identity", "lemma-a", "--nmax", "200", "--x", "1/2", "--prime-bound", "50", "--exp-bound", "4")
+PARTITION = ("verify", "--identity", "partition-product", "--order", "300")
 
 
 def test_traced_jobs_print_the_untraced_output_and_a_trace():
@@ -25,6 +26,7 @@ def test_traced_jobs_print_the_untraced_output_and_a_trace():
                   ("cli", "table", "--fn", "d", "--nmax", "50")),
         "verify": (("-m", "arithmos.cli", *VERIFY), ("cli", *VERIFY)),
         "lib": (("perfbench/libjob.py", "1", "2"), ("lib", "1", "2")),
+        "partition": (("-m", "arithmos.cli", *PARTITION), ("cli", *PARTITION)),
     }
     spans = {}
     for name, (plain_args, traced_args) in jobs.items():
@@ -42,3 +44,6 @@ def test_traced_jobs_print_the_untraced_output_and_a_trace():
         assert spans["verify"][span][0] > 0, span
     # factorize is still bound, but both sides of verify are range tables: no per-n loop is left
     assert spans["verify"]["core.factorize"][0] == 0
+    # the partition check's two routes, each bound by name, so their per-layer metrics still move
+    for span in ("identities.partition_product_series", "core.partition_count"):
+        assert spans["partition"][span][0] > 0, span

@@ -1,10 +1,13 @@
 import math
+import random
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 import pytest
 
 from arithmos.classify import ArithFnHandle
+from arithmos.cli import PARTITION_CEILING
 from arithmos.core import factorize, partition_count, prime_power_table
 from arithmos.functions import constant_one, make_handle
 from arithmos.identities import (
@@ -276,6 +279,61 @@ def test_partition_product_check_passes():
 def test_partition_product_order_validated():
     with pytest.raises(ValueError):
         partition_product_check(0)
+
+
+def stride_product(order: int) -> list[int]:
+    """prod_{m=1..order} 1/(1 - x^m) by one prefix pass c[i] += c[i - m] per factor.
+
+    The O(order^2) oracle of :func:`partition_product_series`: each pass runs in
+    blocks of m, each block adding the (already final) block before it.
+    """
+    coeffs = [0] * (order + 1)
+    coeffs[0] = 1
+    for m in range(1, order + 1):
+        for i in range(m, order + 1, m):
+            coeffs[i:i + m] = map(add, coeffs[i:i + m], coeffs[i - m:i])
+    return coeffs
+
+
+def assert_same_ints(got, want):
+    assert got == tuple(want)
+    assert all(type(c) is int for c in got)
+
+
+def test_partition_product_matches_the_stride_product():
+    # a truncation is a prefix of any longer one, so one oracle run covers every order up to 400
+    want = stride_product(400)
+    for order in range(1, 401):
+        series = partition_product_series(order)
+        assert series.order == order
+        assert_same_ints(series.coeffs, want[:order + 1])
+    assert_same_ints(partition_product_series(3000).coeffs, stride_product(3000))
+
+
+def test_partition_product_does_not_use_the_routes_it_checks(monkeypatch):
+    from arithmos import core, identities, powerseries
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the product must not go through the recurrence or the series kernel")
+
+    want = stride_product(500)
+    for module, name in ((core, "partition_count"), (identities, "partition_count"),
+                         (core, "range_values"), (powerseries, "ps_mul")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert_same_ints(partition_product_series(500).coeffs, want)
+
+
+def test_partition_product_check_passes_at_the_ceiling():
+    assert partition_product_check(PARTITION_CEILING).passed
+
+
+def test_partition_product_matches_sympy_at_the_ceiling():
+    sympy = pytest.importorskip("sympy")
+    coeffs = partition_product_series(PARTITION_CEILING).coeffs
+    rng = random.Random("partition-product/sympy")
+    sample = rng.sample(range(PARTITION_CEILING + 1), 50) + [PARTITION_CEILING]
+    bad = [n for n in sample if coeffs[n] != sympy.partition(n)]
+    assert not bad, bad[:5]
 
 
 # --- direct-function failure propagation -----------------------------------------
