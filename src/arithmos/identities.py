@@ -26,7 +26,7 @@ alongside as self-contained oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from operator import add, mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -126,22 +126,35 @@ def verify_per_term(
     ))
 
 
-def exact_sum(terms: Sequence[Fraction]) -> Fraction:
-    """Exact sum by pairwise merging.
+def exact_sum(numerators: Sequence[int], denominators: Sequence[int]) -> Fraction:
+    """Exact sum of numerators[i] / denominators[i] (positive ints), by pairwise merging.
 
-    Balanced merging keeps intermediate denominators comparable in size,
-    which is dramatically cheaper than a left fold when the terms have
-    thousands of distinct prime factors among their denominators.
+    Each level merges pairs in place on copies of the inputs: with
+    g = gcd(d, e), a/d + b/e = (a*(e/g) + b*(d/g)) / ((d/g)*e), so a
+    denominator is the lcm of its leaves', never their product. Only the
+    final ``Fraction`` reduces. No terms give 0.
     """
-    if not terms:
+    nums = list(numerators)
+    dens = list(denominators)
+    if len(nums) != len(dens):
+        raise ValueError(f"{len(nums)} numerators but {len(dens)} denominators")
+    if not nums:
         return Fraction(0)
-    work = list(terms)
-    while len(work) > 1:
-        nxt = [work[i] + work[i + 1] for i in range(0, len(work) - 1, 2)]
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return Fraction(work[0])
+    while (size := len(nums)) > 1:
+        half = size // 2
+        for i in range(half):
+            j = 2 * i
+            d, e = dens[j], dens[j + 1]
+            g = gcd(d, e)
+            d //= g
+            nums[i] = nums[j] * (e // g) + nums[j + 1] * d
+            dens[i] = d * e
+        if size % 2:
+            nums[half] = nums[-1]
+            dens[half] = dens[-1]
+            half += 1
+        del nums[half:], dens[half:]
+    return Fraction(nums[0], dens[0])
 
 
 def truncated_product_eval(
@@ -183,18 +196,25 @@ def truncated_sum_eval(
     k: int,
     n_max: int,
 ) -> Fraction:
-    """Exact value of 1 + sum_{n=2..n_max} alpha(n) x^beta(n) / n^k, summed per value of beta(n)."""
+    """Exact value of 1 + sum_{n=2..n_max} alpha(n) x^beta(n) / n^k, as one :func:`exact_sum`.
+
+    With x = p/q in lowest terms, the term of n is the int pair
+    (alpha(n) p^beta(n), n^k q^beta(n)), a ``Fraction`` alpha(n) giving its
+    numerator and denominator; the 1 is the term of n = 1, where alpha = 1
+    and beta = 0.
+    """
     if k < 2:
         raise ValueError(f"k must be an integer >= 2 for convergent truncations, got {k}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     xf = Fraction(as_rational(x))
     alpha, beta = spec_table(spec, n_max)
-    groups: dict[int, list[Fraction]] = {}
-    for n in range(2, n_max + 1):
-        groups.setdefault(beta[n], []).append(Fraction(alpha[n], n**k))
-    del alpha, beta
-    return sum((xf**b * exact_sum(terms) for b, terms in groups.items()), Fraction(1))
+    p, q = xf.numerator, xf.denominator
+    powers = {b: (p**b, q**b) for b in set(beta)}
+    nums = [alpha[n].numerator * powers[beta[n]][0] for n in range(1, n_max + 1)]
+    dens = [alpha[n].denominator * n**k * powers[beta[n]][1] for n in range(1, n_max + 1)]
+    del alpha, beta, powers
+    return exact_sum(nums, dens)
 
 
 def numeric_identity_check(
@@ -228,7 +248,7 @@ def euler_zeta_check(s: int, n_max: int, prime_bound: int) -> EulerZetaCheck:
         raise ValueError(f"s must be an integer >= 2, got {s}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    sum_value = exact_sum([Fraction(1, n**s) for n in range(1, n_max + 1)])
+    sum_value = exact_sum([1] * n_max, [n**s for n in range(1, n_max + 1)])
     num = 1
     den = 1
     for p in primes_upto(prime_bound):

@@ -89,10 +89,11 @@ def test_criterion_02_numeric_convergence(sieve100k):
     # are <= prime_bound and exponents <= exp_bound, so product - sum = beyond_n_max - missing_from_product.
     covered = prime_power_table(n_max, lambda p, a: p <= prime_bound and a <= exp_bound, and_, True)
     alpha, beta = spec_table(spec, n_max)
-    missing_terms = [Fraction(alpha[n], n**2) * x ** beta[n] for n in range(2, n_max + 1) if not covered[n]]
-    missing = exact_sum(missing_terms)
+    missing_n = [n for n in range(2, n_max + 1) if not covered[n]]
+    missing = exact_sum([alpha[n] * x.numerator ** beta[n] for n in missing_n],
+                        [n**2 * x.denominator ** beta[n] for n in missing_n])
     beyond = lhs - rhs + missing
-    detail += (f"; last stage: missing_from_product {float(missing):.3e} over {len(missing_terms)} terms,"
+    detail += (f"; last stage: missing_from_product {float(missing):.3e} over {len(missing_n)} terms,"
                f" beyond_n_max {float(beyond):.3e}")
     _verdict(2, "numeric convergence", monotone and final_small, detail)
 

@@ -28,7 +28,7 @@ def test_traced_jobs_print_the_untraced_output_and_a_trace():
         "lib": (("perfbench/libjob.py", "1", "2"), ("lib", "1", "2")),
         "partition": (("-m", "arithmos.cli", *PARTITION), ("cli", *PARTITION)),
     }
-    spans = {}
+    spans, counters = {}, {}
     for name, (plain_args, traced_args) in jobs.items():
         plain = _run(*plain_args)
         traced = _run("perfbench/traced.py", *traced_args)
@@ -36,14 +36,19 @@ def test_traced_jobs_print_the_untraced_output_and_a_trace():
         assert traced.stdout == plain.stdout
         last = traced.stderr.splitlines()[-1]
         assert last.startswith(TRACE_MARK)
-        spans[name] = json.loads(last[len(TRACE_MARK):])["spans"]  # name -> [calls, s, self_s]
+        trace = json.loads(last[len(TRACE_MARK):])
+        spans[name] = trace["spans"]  # name -> [calls, s, self_s]
+        counters[name] = trace["counters"]
     # handles are re-made with dataclasses.replace; their eval span exists only if that worked
     assert "functions.eval" in spans["table"]
     # the tracer binds these by name, and the verify job calls each
-    for span in ("core.build_sieve", "identities.truncated_sum_eval"):
+    for span in ("core.build_sieve", "identities.truncated_sum_eval", "identities.exact_sum"):
         assert spans["verify"][span][0] > 0, span
     # factorize is still bound, but both sides of verify are range tables: no per-n loop is left
     assert spans["verify"]["core.factorize"][0] == 0
+    # the tracer counts the length of exact_sum's first argument: the sum over n = 1..200 is one call
+    assert counters["verify"]["identities.exact_sum.terms"] == 200
+    assert counters["verify"]["identities.sum_den_bits"] > 0
     # the partition check's two routes, each bound by name, so their per-layer metrics still move
     for span in ("identities.partition_product_series", "core.partition_count"):
         assert spans["partition"][span][0] > 0, span

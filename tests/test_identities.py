@@ -5,6 +5,8 @@ from math import gcd
 from operator import add
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arithmos.classify import ArithFnHandle
 from arithmos.cli import PARTITION_CEILING
@@ -200,7 +202,7 @@ def test_sum_at_x_one_matches_zeta_truncation(sieve10k):
     # with x = 1 every term is 1/n^k regardless of the exponent function
     spec = builtin_spec("lemma-a")
     val = truncated_sum_eval(spec, 1, 2, 10)
-    assert val == exact_sum([Fraction(1, n * n) for n in range(1, 11)])
+    assert val == exact_sum([1] * 10, [n * n for n in range(1, 11)])
     assert val == Fraction(1968329, 1270080)
 
 
@@ -232,10 +234,91 @@ def test_truncation_parameters_validated():
         truncated_product_eval(spec, 0.5, 2, 10, 4)
 
 
-def test_exact_sum_matches_builtin():
-    assert exact_sum([]) == 0
-    terms = [Fraction(1, n) for n in range(1, 50)]
-    assert exact_sum(terms) == sum(terms)
+def fraction_merge(terms):
+    """The earlier :func:`exact_sum`: pairwise merges of ``Fraction`` terms, each node reduced."""
+    work = list(terms)
+    if not work:
+        return Fraction(0)
+    while len(work) > 1:
+        nxt = [work[i] + work[i + 1] for i in range(0, len(work) - 1, 2)]
+        if len(work) % 2:
+            nxt.append(work[-1])
+        work = nxt
+    return Fraction(work[0])
+
+
+def grouped_sum(spec, x, k, n_max):
+    """The earlier :func:`truncated_sum_eval`: one :func:`fraction_merge` per value b of beta(n), times x^b."""
+    xf = Fraction(x)
+    alpha, beta = spec_table(spec, n_max)
+    groups = {}
+    for n in range(2, n_max + 1):
+        groups.setdefault(beta[n], []).append(Fraction(alpha[n], n**k))
+    return sum((xf**b * fraction_merge(terms) for b, terms in groups.items()), Fraction(1))
+
+
+def test_exact_sum_fails_fast():
+    assert exact_sum([], []) == 0 and type(exact_sum((), ())) is Fraction
+    with pytest.raises(ValueError):
+        exact_sum([1, 2], [3])
+    with pytest.raises(ValueError):
+        exact_sum([], [1])
+
+
+# Denominators are products of a few small prime powers, so that neighbours share factors and
+# the merge's gcd, lcm and final reduction all have work to do.
+SMALL_PRIMES = (2, 3, 5, 7)
+denominators = st.tuples(*(st.integers(0, 5) for _ in SMALL_PRIMES)).map(
+    lambda es: math.prod(p**e for p, e in zip(SMALL_PRIMES, es)))
+sum_terms = st.lists(st.tuples(st.integers(-10**20, 10**20), denominators), max_size=70)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sum_terms)
+@example([(3, 4)])
+@example([(1, 6), (-1, 6)])
+@example([(5, 12), (-7, 18), (1, 1)])
+@example([(n % 7 - 3, 2 ** (n % 4) * 3 ** (n % 3)) for n in range(70)])
+@example([(n % 5 - 2, 5 ** (n % 3) * 7 ** (n % 2)) for n in range(69)])
+def test_exact_sum_matches_fraction_sum(terms):
+    nums = [a for a, _ in terms]
+    dens = [d for _, d in terms]
+    saved = (list(nums), list(dens))
+    got = exact_sum(nums, dens)
+    assert (nums, dens) == saved
+    assert type(got) is Fraction
+    assert got == sum((Fraction(a, d) for a, d in terms), Fraction(0))
+    assert exact_sum(tuple(nums), tuple(dens)) == got
+
+
+def test_euler_zeta_sum_matches_the_fraction_merge():
+    # the exact-rational benchmark's size
+    n_max = 2 * 10**4
+    want = fraction_merge(Fraction(1, n**2) for n in range(1, n_max + 1))
+    assert euler_zeta_check(2, n_max, 2000).sum_value == want
+
+
+def test_truncated_sum_matches_the_grouped_sum_at_benchmark_size():
+    spec = builtin_spec("lemma-b", t=1)
+    x = Fraction(4, 9)
+    assert truncated_sum_eval(spec, x, 2, 2 * 10**4) == grouped_sum(spec, x, 2, 2 * 10**4)
+
+
+def test_truncated_sum_matches_the_grouped_sum_on_small_cases():
+    # theta is a Fraction of either sign, or 0 at a = 2; kappa is 0 at a = 1 for p = 2 (mod 3)
+    rational = LocalFactorSpec(
+        "rational",
+        lambda p, a: Fraction((-1) ** a * (a - 2), p + a),
+        lambda p, a: (p + a) % 3,
+    )
+    specs = (builtin_spec("lemma-a"), builtin_spec("lemma-b", t=2), builtin_spec("lemma-d", t=2), rational)
+    xs = (Fraction(-3, 5), 0, 1, -2, Fraction(7, 4))
+    for spec in specs:
+        for x in xs:
+            for k in (2, 3):
+                for n_max in (1, 2, 3, 64, 301):
+                    assert truncated_sum_eval(spec, x, k, n_max) == grouped_sum(spec, x, k, n_max), (
+                        spec.name, x, k, n_max)
 
 
 # --- zeta product oracle ---------------------------------------------------------
