@@ -198,10 +198,11 @@ def truncated_sum_eval(
 ) -> Fraction:
     """Exact value of 1 + sum_{n=2..n_max} alpha(n) x^beta(n) / n^k, as one :func:`exact_sum`.
 
-    With x = p/q in lowest terms, the term of n is the int pair
-    (alpha(n) p^beta(n), n^k q^beta(n)), a ``Fraction`` alpha(n) giving its
-    numerator and denominator; the 1 is the term of n = 1, where alpha = 1
-    and beta = 0.
+    With x^b = u/v in lowest terms, v > 0, for each value b of beta, the
+    term of n is the int pair (alpha(n) u, n^k v), a ``Fraction`` alpha(n)
+    giving its numerator and denominator; the 1 is the term of n = 1, where
+    alpha = 1 and beta = 0. A negative b puts the power of x's numerator in
+    v, so x = 0 then raises ``ZeroDivisionError``.
     """
     if k < 2:
         raise ValueError(f"k must be an integer >= 2 for convergent truncations, got {k}")
@@ -209,8 +210,7 @@ def truncated_sum_eval(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     xf = Fraction(as_rational(x))
     alpha, beta = spec_table(spec, n_max)
-    p, q = xf.numerator, xf.denominator
-    powers = {b: (p**b, q**b) for b in set(beta)}
+    powers = {b: (xb.numerator, xb.denominator) for b, xb in ((b, xf**b) for b in set(beta))}
     nums = [alpha[n].numerator * powers[beta[n]][0] for n in range(1, n_max + 1)]
     dens = [alpha[n].denominator * n**k * powers[beta[n]][1] for n in range(1, n_max + 1)]
     del alpha, beta, powers

@@ -321,6 +321,26 @@ def test_truncated_sum_matches_the_grouped_sum_on_small_cases():
                         spec.name, x, k, n_max)
 
 
+def test_truncated_sum_matches_the_grouped_sum_with_negative_kappa():
+    # kappa is negative at a = 1, so x^beta(n) has the power of x's numerator below the line
+    def theta(p, a):
+        return 0 if p == 5 or (p, a) == (3, 3) else Fraction(a, p + 1)
+
+    spec = LocalFactorSpec("negative", theta, lambda p, a: a - 2)
+    for x in (Fraction(-3, 5), 1, -2, Fraction(7, 4)):
+        for k in (2, 3):
+            for n_max in (1, 2, 3, 64, 301):
+                assert truncated_sum_eval(spec, x, k, n_max) == grouped_sum(spec, x, k, n_max), (x, k, n_max)
+    check = numeric_identity_check(spec, Fraction(-3, 5), 2, 50, 6, 300)
+    assert check.gap == abs(check.lhs - grouped_sum(spec, Fraction(-3, 5), 2, 300))
+    assert truncated_sum_eval(spec, 0, 2, 1) == 1
+    for n_max in (2, 64):
+        with pytest.raises(ZeroDivisionError):
+            grouped_sum(spec, 0, 2, n_max)
+        with pytest.raises(ZeroDivisionError):
+            truncated_sum_eval(spec, 0, 2, n_max)
+
+
 # --- zeta product oracle ---------------------------------------------------------
 
 def test_euler_zeta_exact_partial_sum():
