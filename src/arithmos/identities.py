@@ -117,13 +117,15 @@ def verify_per_term(
     """Exact check that (alpha, beta) equal the direct functions for 2 <= n <= n_max."""
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    # the direct side comes from the functions' range tables, the spec side from theta and kappa
-    direct_a = evaluate_range(direct_alpha, n_max)
-    direct_b = evaluate_range(direct_beta, n_max)
-    alpha, beta = spec_table(spec, n_max)
-    return IdentityCheckReport(tuple(
-        n for n in range(2, n_max + 1) if alpha[n] != direct_a[n] or beta[n] != direct_b[n]
-    ))
+    # the direct side comes from the functions' range tables, the spec side from theta and kappa;
+    # alpha's pair of tables is dropped before beta's is built, so two of the four are alive at once
+    failures = set()
+    for direct, local, combine, unit in ((direct_alpha, spec.theta, mul, 1), (direct_beta, spec.kappa, add, 0)):
+        want = evaluate_range(direct, n_max)
+        got = prime_power_table(n_max, local, combine, unit)
+        failures.update(n for n in range(2, n_max + 1) if got[n] != want[n])
+        del want, got
+    return IdentityCheckReport(tuple(sorted(failures)))
 
 
 def exact_sum(numerators: Sequence[int], denominators: Sequence[int]) -> Fraction:
@@ -175,19 +177,26 @@ def truncated_product_eval(
         raise ValueError(f"exp_bound must be >= 1, got {exp_bound}")
     xf = Fraction(as_rational(x))
     xpow: dict[int, Fraction] = {}
-    result = Fraction(1)
+    nums, dens = [], []
     for p in primes_upto(prime_bound):
         pk = p**k
         pak = 1
-        inner = Fraction(1)
+        term_nums, term_dens = [1], [1]
         for a in range(1, exp_bound + 1):
             pak *= pk
             kap = spec.kappa(p, a)
             if kap not in xpow:
                 xpow[kap] = xf**kap
-            inner += Fraction(spec.theta(p, a)) * xpow[kap] / pak
-        result *= inner
-    return result
+            theta, xk = Fraction(spec.theta(p, a)), xpow[kap]
+            term_nums.append(theta.numerator * xk.numerator)
+            term_dens.append(theta.denominator * xk.denominator * pak)
+        inner = exact_sum(term_nums, term_dens)
+        nums.append(inner.numerator)
+        dens.append(inner.denominator)
+    while (size := len(nums)) > 1:
+        nums = [*map(mul, nums[::2], nums[1::2]), *nums[size & ~1:]]
+        dens = [*map(mul, dens[::2], dens[1::2]), *dens[size & ~1:]]
+    return Fraction(nums[0], dens[0]) if nums else Fraction(1)
 
 
 def truncated_sum_eval(
@@ -226,8 +235,9 @@ def numeric_identity_check(
     n_max: int,
 ) -> NumericCheck:
     """Evaluate both truncations and report their exact absolute gap."""
-    lhs = truncated_product_eval(spec, x, k, prime_bound, exp_bound)
+    # the sum's lists are the memory peak; built first, they reuse no heap the product left fragmented
     rhs = truncated_sum_eval(spec, x, k, n_max)
+    lhs = truncated_product_eval(spec, x, k, prime_bound, exp_bound)
     return NumericCheck(lhs, rhs, abs(lhs - rhs))
 
 
@@ -300,6 +310,7 @@ def partition_product_series(order: int) -> TruncatedSeries:
 def partition_product_check(order: int) -> IdentityCheckReport:
     """Compare the product expansion against the pentagonal recurrence values."""
     series = partition_product_series(order)
+    partition_count(order)  # one fill of the cache, not one copy of it per n
     failures = tuple(
         n for n in range(order + 1) if series.coeffs[n] != partition_count(n)
     )

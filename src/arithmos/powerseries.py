@@ -13,8 +13,9 @@ coefficients are packed into byte slots of one integer wide enough for
 every coefficient of the product, and one big-integer multiply does the
 convolution. The slot width comes from an exact bound on the product's
 coefficients, with a sign bit only when a coefficient is negative; the
-low ``N + 1`` slots are read back and divided once by the two scales.
-``ps_pow`` is binary powering over that product, and
+product is masked to its low ``N + 1`` slots, which are read back and
+divided once by the two scales. A square multiplies only the halves
+that reach those slots. ``ps_pow`` is binary powering over that product, and
 ``ps_pow_recurrence`` is an independent O(N^2) route to the same power:
 the J. C. P. Miller recurrence run on integers after one scaling by the
 lcm of the denominators, every step an exact division (a remainder
@@ -72,7 +73,9 @@ class TruncatedSeries:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError(f"order must be >= 0, got {self.order}")
-        coeffs = tuple(as_rational(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
+        if set(map(type, coeffs)) != {int}:
+            coeffs = tuple(map(as_rational, coeffs))
         if len(coeffs) != self.order + 1:
             raise ValueError(
                 f"expected {self.order + 1} coefficients for order {self.order}, got {len(coeffs)}"
@@ -119,9 +122,9 @@ _SLOT_CODES = {1: ("B", "b"), 2: ("H", "h"), 4: ("I", "i"), 8: ("Q", "q")}
 
 def _scaled(coeffs: tuple[Rational, ...]) -> tuple[tuple[int, ...] | list[int], int]:
     """Integer numerators over the lcm ``D`` of the denominators, and ``D``."""
-    den = lcm(*(c.denominator for c in coeffs))
-    if den == 1:
+    if set(map(type, coeffs)) == {int}:
         return coeffs, 1
+    den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
@@ -162,13 +165,19 @@ def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     ``struct``) or, when wider, the exact byte count (``int.to_bytes``
     slices).
 
+    A square (``a is b``) computes only the slots it keeps: with the low
+    ``h = (order + 2) // 2`` coefficients packed as ``lo`` and the rest as
+    ``hi``, the square is ``lo*lo + 2*lo*hi*X^h`` below ``X^(2h)``, two
+    half-size multiplies in place of one full-size one.
+
     With negative coefficients an operand is the packed non-negative part
     minus the packed magnitudes of the negative part. The product's slots
-    then hold signed values; adding a bias of ``2^(w-1)`` to every ``w``-bit
-    slot and XOR-ing it off again leaves each slot in two's complement,
-    so the low ``order + 1`` slots read back as signed integers. Finally
-    each coefficient is divided once by the product of the two scales;
-    integral quotients stay ``int``.
+    then hold signed values; the product is masked to its low ``order + 1``
+    slots after adding a bias of ``2^(w-1)`` to every ``w``-bit slot, and
+    XOR-ing the bias off again leaves each slot in two's complement, so
+    the slots read back as signed integers. Finally each coefficient is
+    divided once by the product of the two scales; integral quotients stay
+    ``int``.
     """
     _check_orders(a, b)
     n = a.order
@@ -180,18 +189,25 @@ def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     if not bound:
         return TruncatedSeries.zero(n)
     size = _slot_bytes(bound.bit_length() + signed)
-    packed_a = _pack_operand(va, size, signed)
-    product = packed_a * packed_a if a is b else packed_a * _pack_operand(vb, size, signed)
-    slots = 2 * n + 1
+    if a is b:
+        h = (n + 2) // 2
+        lo = _pack_operand(va[:h], size, signed)
+        product = lo * lo + (lo * _pack_operand(va[h:], size, signed) << (8 * size * h + 1))
+    else:
+        product = _pack_operand(va, size, signed) * _pack_operand(vb, size, signed)
+    slots = n + 1
+    mask = (1 << 8 * size * slots) - 1
     if signed:
         bias = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
-        product = (product + bias) ^ bias
+        product = (product + bias) & mask ^ bias
+    else:
+        product &= mask
     raw = memoryview(product.to_bytes(size * slots, "little"))
     if size in _SLOT_CODES:
-        coeffs = unpack_from(f"<{n + 1}{_SLOT_CODES[size][signed]}", raw)
+        coeffs = unpack_from(f"<{slots}{_SLOT_CODES[size][signed]}", raw)
     else:
         coeffs = tuple(
-            int.from_bytes(raw[i:i + size], "little", signed=signed) for i in range(0, size * (n + 1), size)
+            int.from_bytes(raw[i:i + size], "little", signed=signed) for i in range(0, size * slots, size)
         )
     den = den_a * den_b
     if den != 1:

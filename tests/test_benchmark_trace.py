@@ -18,6 +18,7 @@ def _run(*args):
 
 VERIFY = ("verify", "--identity", "lemma-a", "--nmax", "200", "--x", "1/2", "--prime-bound", "50", "--exp-bound", "4")
 PARTITION = ("verify", "--identity", "partition-product", "--order", "300")
+WARING = ("waring", "--s", "4", "--t", "8", "--order", "2000")
 
 
 def test_traced_jobs_print_the_untraced_output_and_a_trace():
@@ -27,6 +28,7 @@ def test_traced_jobs_print_the_untraced_output_and_a_trace():
         "verify": (("-m", "arithmos.cli", *VERIFY), ("cli", *VERIFY)),
         "lib": (("perfbench/libjob.py", "1", "2"), ("lib", "1", "2")),
         "partition": (("-m", "arithmos.cli", *PARTITION), ("cli", *PARTITION)),
+        "waring": (("-m", "arithmos.cli", *WARING), ("cli", *WARING)),
     }
     spans, counters = {}, {}
     for name, (plain_args, traced_args) in jobs.items():
@@ -46,9 +48,12 @@ def test_traced_jobs_print_the_untraced_output_and_a_trace():
         assert spans["verify"][span][0] > 0, span
     # factorize is still bound, but both sides of verify are range tables: no per-n loop is left
     assert spans["verify"]["core.factorize"][0] == 0
-    # the tracer counts the length of exact_sum's first argument: the sum over n = 1..200 is one call
-    assert counters["verify"]["identities.exact_sum.terms"] == 200
+    # the tracer counts the length of exact_sum's first argument: the sum over n = 1..200 is one
+    # call, and each of the 15 local factors of the product (primes <= 50) is 1 + 4 terms
+    assert counters["verify"]["identities.exact_sum.terms"] == 200 + 15 * 5
     assert counters["verify"]["identities.sum_den_bits"] > 0
     # the partition check's two routes, each bound by name, so their per-layer metrics still move
     for span in ("identities.partition_product_series", "core.partition_count"):
         assert spans["partition"][span][0] > 0, span
+    # t = 8 is three squares, each one ps_mul call whether or not it takes the square path
+    assert spans["waring"]["powerseries.ps_mul"][0] == 3

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from arithmos.classify import ArithFnHandle
 from arithmos.cli import PARTITION_CEILING
-from arithmos.core import factorize, partition_count, prime_power_table
+from arithmos.core import factorize, partition_count, prime_power_table, primes_upto
 from arithmos.functions import constant_one, make_handle
 from arithmos.identities import (
     LocalFactorSpec,
@@ -339,6 +339,50 @@ def test_truncated_sum_matches_the_grouped_sum_with_negative_kappa():
             grouped_sum(spec, 0, 2, n_max)
         with pytest.raises(ZeroDivisionError):
             truncated_sum_eval(spec, 0, 2, n_max)
+
+
+def folded_product(spec, x, k, prime_bound, exp_bound):
+    """The earlier :func:`truncated_product_eval`: a left fold of reduced ``Fraction`` factors."""
+    xf = Fraction(x)
+    result = Fraction(1)
+    for p in primes_upto(prime_bound):
+        inner = Fraction(1)
+        for a in range(1, exp_bound + 1):
+            inner += Fraction(spec.theta(p, a)) * xf ** spec.kappa(p, a) / p ** (a * k)
+        result *= inner
+    return result
+
+
+def test_truncated_product_matches_the_folded_product_on_small_cases():
+    # theta is a Fraction of either sign, or 0; kappa is 0 for some (p, a), or negative at a = 1
+    rational = LocalFactorSpec(
+        "rational",
+        lambda p, a: Fraction((-1) ** a * (a - 2), p + a),
+        lambda p, a: (p + a) % 3,
+    )
+    negative = LocalFactorSpec("negative", lambda p, a: 0 if p == 5 else Fraction(-a, p + 1), lambda p, a: a - 2)
+    specs = (builtin_spec("lemma-a"), builtin_spec("lemma-b", t=2), builtin_spec("lemma-d", t=2), rational, negative)
+    for spec in specs:
+        for x in (Fraction(-3, 5), 0, 1, -2, Fraction(7, 4)):
+            for k in (2, 3):
+                # 1 prime, 2 primes (a pair), 3 primes (a pair and an odd one out), 10 and 25 primes
+                for prime_bound, exp_bound in ((1, 3), (2, 1), (3, 2), (5, 2), (29, 4), (97, 3)):
+                    args = (spec, x, k, prime_bound, exp_bound)
+                    if spec is negative and x == 0 and prime_bound >= 2:
+                        with pytest.raises(ZeroDivisionError):
+                            folded_product(*args)
+                        with pytest.raises(ZeroDivisionError):
+                            truncated_product_eval(*args)
+                        continue
+                    got = truncated_product_eval(*args)
+                    assert type(got) is Fraction
+                    assert got == folded_product(*args), (spec.name, x, k, prime_bound, exp_bound)
+
+
+def test_truncated_product_matches_the_folded_product_at_criterion_02_size():
+    # the last stage of acceptance criterion 02: 168 primes, 32 terms each
+    spec = builtin_spec("lemma-a")
+    assert truncated_product_eval(spec, Fraction(1, 2), 2, 1000, 32) == folded_product(spec, Fraction(1, 2), 2, 1000, 32)
 
 
 # --- zeta product oracle ---------------------------------------------------------

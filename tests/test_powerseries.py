@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from arithmos.powerseries import (
     Rational,
     TruncatedSeries,
+    _slot_bytes,
     as_rational,
     format_rational,
     parse_rational,
@@ -15,6 +16,7 @@ from arithmos.powerseries import (
     ps_pow,
     ps_pow_recurrence,
 )
+from arithmos.waring import generalized_theta
 
 coeff = st.one_of(
     st.integers(min_value=-9, max_value=9),
@@ -147,6 +149,19 @@ def test_eval_examples():
 def test_floats_rejected():
     with pytest.raises(TypeError):
         TruncatedSeries.from_coeffs([1.0, 2])
+    # bool and float are not int, so an int-looking series still goes through the per-coefficient check
+    for bad in ((1, 2.0), (1, True)):
+        with pytest.raises(TypeError):
+            TruncatedSeries(1, bad)
+
+
+def test_constructor_collapses_integral_fractions_and_keeps_mixed_series_exact():
+    a = TruncatedSeries(2, (1, Fraction(6, 3), Fraction(1, 3)))
+    assert a.coeffs == (1, 2, Fraction(1, 3))
+    assert [type(c) for c in a.coeffs] == [int, int, Fraction]
+    assert ps_mul(a, a).coeffs == (1, 4, Fraction(14, 3))
+    ints = TruncatedSeries(2, [3, -1, 0])
+    assert ints.coeffs == (3, -1, 0) and type(ints.coeffs) is tuple
 
 
 def test_coefficient_count_enforced():
@@ -264,6 +279,10 @@ def operand(n: int):
 @example(([-(2**31), 0], [1, 0]), False)  # the sign bit pushes a 4-byte bound into 8 bytes
 @example(([2**64 - 1, 2**64 - 1], [1, 1]), False)  # a 9-byte slot
 @example(([-(2**63), 2**63 - 1, -1], [-(2**63), 2**63 - 1, -1]), True)  # a is b, signed, 16-byte slots
+@example(([-3], [0]), True)  # a square of order 0: the high half is empty
+@example(([Fraction(-1, 2), 5], [0, 0]), True)  # order 1: one coefficient in each half
+@example(([Fraction(2, 3), -4, Fraction(-5, 6)], [0, 0, 0]), True)  # order 2: the high half is shorter
+@example(([7, Fraction(-1, 4), 0, -9], [0, 0, 0, 0]), True)  # order 3: halves of two
 def test_mul_matches_schoolbook(pair, same):
     a = TruncatedSeries.from_coeffs(pair[0])
     b = a if same else TruncatedSeries.from_coeffs(pair[1])
@@ -272,6 +291,21 @@ def test_mul_matches_schoolbook(pair, same):
     assert got == want
     assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
     assert all(type(c) is int for c in got.coeffs if c == int(c))
+
+
+def test_square_matches_the_general_product_at_benchmark_orders():
+    # a copy of a is not a, so the right-hand side multiplies every slot and masks the product
+    rng = random.Random(16)
+    cases = (
+        (ps_pow(generalized_theta(4, 20000), 4), 4),  # the last square of waring --s 4 --t 8 --order 20000
+        (ps_pow(generalized_theta(2, 8000), 2), 4),
+        (ps_pow(generalized_theta(2, 8000), 4), 8),
+        (TruncatedSeries.from_coeffs([rng.randint(-(2**58), 2**58) for _ in range(301)]), 16),
+    )
+    for a, size in cases:
+        mags = list(map(abs, a.coeffs))  # the slot bound of an integer square, sign bit included
+        assert _slot_bytes((sum(mags) * max(mags)).bit_length() + (min(a.coeffs) < 0)) == size
+        assert ps_mul(a, a) == ps_mul(a, TruncatedSeries(a.order, a.coeffs))
 
 
 def test_pow_of_signed_fraction_series_matches_schoolbook():
