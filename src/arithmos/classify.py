@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, islice, repeat
 from math import gcd
-from operator import add, mul, eq as exact_eq
+from operator import add, eq, mul, ne
 from typing import Callable, NamedTuple, Union
 
 from .core import prime_power_table
@@ -103,37 +104,53 @@ def _close(a: Value, b: Value) -> bool:
     return abs(a - b) <= REAL_TOL
 
 
+def _differs(f: ArithFnHandle) -> Callable[[Value, Value], bool]:
+    """The mismatch test of f's values: != for exact handles, not within REAL_TOL for real ones."""
+    return (lambda a, b: not _close(a, b)) if f.real else ne
+
+
+# The laws by family: the operation each tests, then its complete and its coprime-only law.
+_LAWS = (
+    (mul, "completely_multiplicative", "multiplicative"),
+    (add, "completely_additive", "additive"),
+)
+
+
 def classify(f: ArithFnHandle, bound: int) -> ClassificationReport:
-    """Test the four laws on every pair (m, n) with m*n <= bound."""
+    """Test the four laws on every pair (m, n) with m*n <= bound.
+
+    Pairs are scanned by m, then n = m..bound//m, so every witness is the
+    first violating pair of its law in that order. Each row of one m is
+    tested as a whole, per family of laws, with C-level maps over the
+    slices ``v[m*n]`` and ``v[n]``: its mismatches witness the complete law
+    at once and the coprime-only law where gcd(m, n) = 1. A family is
+    skipped once its coprime-only law is witnessed, since the complete law
+    then is too, and the scan stops once all four are.
+    """
     if bound < 4:
         raise ValueError(f"bound must be >= 4, got {bound}")
     v = evaluate_range(f, bound)
-    if not any(v[1:]):
+    if not any(islice(v, 1, None)):
         raise ValueError(f"{f.name} is identically zero on 1..{bound}")
-    eq = _close if f.real else exact_eq
+    differs = _differs(f)
 
-    # Each pair tests the product and the sum equation once; a failure is a
-    # witness for the complete law at once and for the coprime-only law when
-    # gcd(m, n) = 1. Pairs are scanned in a fixed order, so every witness is
-    # the first violating pair of its law.
     witnesses: dict[str, tuple[int, int]] = {}
     m = 1
     while m * m <= bound and len(witnesses) < 4:
-        vm = v[m]
-        for n in range(m, bound // m + 1):
-            vmn, vn = v[m * n], v[n]
-            if not eq(vmn, vm * vn):
-                if "completely_multiplicative" not in witnesses:
-                    witnesses["completely_multiplicative"] = (m, n)
-                if "multiplicative" not in witnesses and gcd(m, n) == 1:
-                    witnesses["multiplicative"] = (m, n)
-            if not eq(vmn, vm + vn):
-                if "completely_additive" not in witnesses:
-                    witnesses["completely_additive"] = (m, n)
-                if "additive" not in witnesses and gcd(m, n) == 1:
-                    witnesses["additive"] = (m, n)
-            if len(witnesses) == 4:
-                break
+        top = bound // m
+        products, row = v[m * m:m * top + 1:m], v[m:top + 1]
+        found = []  # (n, rank, law), sorted below into the order the pair scan meets them
+        for rank, (op, complete, coprime) in enumerate(_LAWS):
+            if coprime in witnesses:
+                continue
+            bad = list(compress(count(m), map(differs, products, map(op, repeat(v[m]), row))))
+            if bad and complete not in witnesses:
+                found.append((bad[0], 2 * rank, complete))
+            n = next(compress(bad, map(eq, repeat(1), map(gcd, repeat(m), bad))), None)
+            if n is not None:
+                found.append((n, 2 * rank + 1, coprime))
+        for n, _, law in sorted(found):
+            witnesses[law] = (m, n)
         m += 1
 
     return ClassificationReport(
@@ -162,11 +179,11 @@ def verify_decomposable(f: ArithFnHandle, mode: str, bound: int) -> Decomposabil
     if bound < 4:
         raise ValueError(f"bound must be >= 4, got {bound}")
     v = evaluate_range(f, bound)
-    eq = _close if f.real else exact_eq
     # g(p, a) = f(p^a) is read from the range itself: p^a <= bound
     combine, unit = (mul, 1) if mode == "multiplicative" else (add, 0)
     rebuilt = prime_power_table(bound, lambda p, a: v[p**a], combine, unit)
-    witness = next((n for n in range(2, bound + 1) if not eq(v[n], rebuilt[n])), None)
+    mismatches = map(_differs(f), islice(v, 2, bound + 1), islice(rebuilt, 2, None))
+    witness = next(compress(count(2), mismatches), None)
     return DecomposabilityResult(
         name=f.name, mode=mode, bound=bound, ok=witness is None,
         witness=witness, note=_MEMORY_NOTE,

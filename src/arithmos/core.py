@@ -3,8 +3,9 @@ arithmetical functions built on them.
 
 Everything here is exact integer arithmetic; values never pass through
 floats, so results like divisor power sums stay correct at any size.
-The module owns one sieve, grown by :func:`build_sieve` to the largest
-range asked for; every function that needs it asks for its range.
+The module owns one sieve and the list of its primes, grown together by
+:func:`build_sieve` to the largest range asked for; every function that
+needs either asks for its range.
 :func:`prime_power_table` tabulates a function from its prime-power values
 without factorizing; :func:`factorize`, the per-n route, walks the sieve
 inside it and trial-divides beyond it (for instance large prime powers).
@@ -15,8 +16,9 @@ A factorization is the plain tuple of its ``(prime, exponent)`` pairs,
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import compress
 from math import isqrt
-from operator import add, mul
+from operator import add, mul, not_
 from typing import Callable
 
 
@@ -30,32 +32,48 @@ Factors = tuple[tuple[int, int], ...]
 # replaced, never mutated, and grown to exactly the largest limit asked for.
 _spf: list[int] = []
 
+# (limit, primes <= limit), set with _spf by the build that made it. Replaced as
+# a whole, never mutated; primes_upto hands out slices of it, never the list.
+_prime_list: tuple[int, list[int]] = (1, [])
+
 
 def build_sieve(limit: int) -> list[int]:
     """The shared smallest-prime-factor table, covering at least ``2..limit``.
 
-    Returns the table of an earlier call when it already covers ``limit``;
-    otherwise builds one for ``2..limit`` and keeps it for later calls.
+    Returns the table of an earlier call when it and the shared prime list
+    already cover ``limit``; otherwise builds one for ``2..limit`` and keeps
+    it, with its primes, for later calls. The build starts from zeros: each
+    prime p <= isqrt(limit), largest first, is written into ``spf[p*p::p]``
+    by one slice assignment, so the smallest prime factor of a composite is
+    written last. The entries still 0 are then exactly 0, 1 and the primes,
+    which get themselves. No n is tested in Python, and the table holds no
+    int object of its own per n.
     """
-    global _spf
-    if limit < len(_spf):
+    global _spf, _prime_list
+    if limit < len(_spf) and limit <= _prime_list[0]:
         return _spf
-    spf = list(range(limit + 1))
-    for i in range(2, isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    _spf = spf
+    spf = [0] * (limit + 1)
+    for p in reversed(primes_upto(isqrt(limit))):
+        spf[p * p::p] = [p] * ((limit - p * p) // p + 1)
+    primes = list(compress(range(limit + 1), map(not_, spf)))
+    for p in primes:
+        spf[p] = p
+    del primes[:2]  # 0 and 1
+    _spf, _prime_list = spf, (limit, primes)
     return spf
 
 
 def primes_upto(limit: int) -> list[int]:
-    """All primes ``p <= limit``."""
+    """All primes ``p <= limit``, as a new list sliced from the shared prime list.
+
+    Grows the sieve with :func:`build_sieve` when the list falls short.
+    """
     if limit < 2:
         return []
-    spf = build_sieve(limit)
-    return [p for p in range(2, limit + 1) if spf[p] == p]
+    if limit > _prime_list[0]:
+        build_sieve(limit)
+    primes = _prime_list[1]
+    return primes[:bisect_right(primes, limit)]
 
 
 def factorize(n: int) -> Factors:
@@ -150,26 +168,20 @@ def euler_totient(f: Factors) -> int:
     return out
 
 
-# (limit, primes <= limit) for prime_count_upto; like _spf, replaced as a whole, never mutated.
-_prime_list: tuple[int, list[int]] = (1, [])
-
-
 def prime_count_upto(n: int) -> int:
-    """pi(n): number of primes <= n, by bisection on a cached list of primes.
+    """pi(n): number of primes <= n, by bisection on the shared prime list.
 
-    A list that falls short is replaced by one to at least twice its limit, so
-    per-n calls over ``1..N`` cost O(N) in all. This route is apart from the
-    running count of ``range_values("pi")``, so each checks the other.
+    A list that falls short is replaced, through :func:`build_sieve`, by one
+    to at least twice its limit, so per-n calls over ``1..N`` cost O(N) in
+    all. This route is apart from the running count of ``range_values("pi")``,
+    so each checks the other.
     """
-    global _prime_list
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
-    limit, primes = _prime_list
+    limit = _prime_list[0]
     if n > limit:
-        limit = max(n, 2 * limit)
-        primes = primes_upto(limit)
-        _prime_list = (limit, primes)
-    return bisect_right(primes, n)
+        build_sieve(max(n, 2 * limit))
+    return bisect_right(_prime_list[1], n)
 
 
 def local_function(fn_id: str, t: int | None = None) -> tuple[Callable[[Factors], int], bool]:

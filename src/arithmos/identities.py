@@ -26,8 +26,9 @@ alongside as self-contained oracles.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count, islice
 from math import gcd, isqrt
-from operator import add, mul
+from operator import add, mul, ne
 from typing import Callable, NamedTuple, Sequence
 
 from .classify import ArithFnHandle, evaluate_range
@@ -123,40 +124,51 @@ def verify_per_term(
     for direct, local, combine, unit in ((direct_alpha, spec.theta, mul, 1), (direct_beta, spec.kappa, add, 0)):
         want = evaluate_range(direct, n_max)
         got = prime_power_table(n_max, local, combine, unit)
-        failures.update(n for n in range(2, n_max + 1) if got[n] != want[n])
+        mismatches = map(ne, islice(got, 2, None), islice(want, 2, n_max + 1))
+        failures.update(compress(count(2), mismatches))
         del want, got
     return IdentityCheckReport(tuple(sorted(failures)))
 
 
 def exact_sum(numerators: Sequence[int], denominators: Sequence[int]) -> Fraction:
-    """Exact sum of numerators[i] / denominators[i] (positive ints), by pairwise merging.
+    """Exact sum of numerators[i] / denominators[i] (positive ints), by merging int pairs.
 
-    Each level merges pairs in place on copies of the inputs: with
-    g = gcd(d, e), a/d + b/e = (a*(e/g) + b*(d/g)) / ((d/g)*e), so a
-    denominator is the lcm of its leaves', never their product. Only the
-    final ``Fraction`` reduces. No terms give 0.
+    With g = gcd(d, e), a/d + b/e = (a*(e/g) + b*(d/g)) / ((d/g)*e), so a
+    denominator is the lcm of its terms', never their product. The first
+    pass folds each run of four inputs, left to right, into one pair of a
+    new list; later levels merge neighbouring pairs in place. The inputs are
+    neither copied nor changed, and while they are still alive the first
+    list holds a quarter as many pairs as there are terms. Only the final
+    ``Fraction`` reduces. No terms give 0.
     """
-    nums = list(numerators)
-    dens = list(denominators)
-    if len(nums) != len(dens):
-        raise ValueError(f"{len(nums)} numerators but {len(dens)} denominators")
-    if not nums:
+    if len(numerators) != len(denominators):
+        raise ValueError(f"{len(numerators)} numerators but {len(denominators)} denominators")
+    if not numerators:
         return Fraction(0)
+    nums, dens = [], []
+    for j in range(0, len(numerators), 4):
+        a, d = numerators[j], denominators[j]
+        for i in range(j + 1, min(j + 4, len(numerators))):
+            a, d = _merge(a, d, numerators[i], denominators[i])
+        nums.append(a)
+        dens.append(d)
     while (size := len(nums)) > 1:
         half = size // 2
         for i in range(half):
-            j = 2 * i
-            d, e = dens[j], dens[j + 1]
-            g = gcd(d, e)
-            d //= g
-            nums[i] = nums[j] * (e // g) + nums[j + 1] * d
-            dens[i] = d * e
+            nums[i], dens[i] = _merge(nums[2 * i], dens[2 * i], nums[2 * i + 1], dens[2 * i + 1])
         if size % 2:
             nums[half] = nums[-1]
             dens[half] = dens[-1]
             half += 1
         del nums[half:], dens[half:]
     return Fraction(nums[0], dens[0])
+
+
+def _merge(a: int, d: int, b: int, e: int) -> tuple[int, int]:
+    """a/d + b/e as an int pair over lcm(d, e)."""
+    g = gcd(d, e)
+    d //= g
+    return a * (e // g) + b * d, d * e
 
 
 def truncated_product_eval(

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
+from math import lcm
 from typing import NamedTuple
 
 from .classify import ArithFnHandle, evaluate_range
@@ -40,14 +42,24 @@ class Pmf(NamedTuple):
 
 
 def build_polynomial(beta: ArithFnHandle, M: int) -> ArithPolynomial:
-    """Histogram of beta(n) over n = 1..M; beta must be nonnegative-integer valued."""
+    """Histogram of beta(n) over n = 1..M; beta must be nonnegative-integer valued.
+
+    A table of nonnegative ints is counted in one ``Counter`` pass; otherwise
+    each value is checked in turn, integral ``Fraction``s are counted as
+    ints, and the first n whose value is negative or not an integer (a
+    float, a bool, a non-integral ``Fraction``) raises ``ValueError``.
+    """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     values = evaluate_range(beta, M)
-    counts: Counter[int] = Counter()
+    if set(map(type, islice(values, 1, M + 1))) == {int}:
+        counts = Counter(islice(values, 1, M + 1))
+        if min(counts) >= 0:
+            return ArithPolynomial(M, tuple(sorted(counts.items())))
+    counts = Counter()
     for n in range(1, M + 1):
         val = values[n]
-        if not isinstance(val, int):
+        if type(val) is not int:
             if not isinstance(val, Fraction):
                 raise ValueError(f"{beta.name}({n}) = {val!r} is not an integer")
             if val.denominator != 1:
@@ -121,13 +133,27 @@ def shifted_sign_scan(p: ArithPolynomial) -> dict:
     Exact evaluation at SCAN_STEPS + 1 points; a sign change between neighbours
     certifies a real root in that subinterval, so the count is a lower
     bound on the number of real roots. Evidence only, nothing asserted.
+    Each grid point is a/q with one q > 0, and q^D (P(a/q) - (M+1)), D the
+    degree, has the same sign. It is evaluated in ints, with no ``Fraction``,
+    by Horner's rule over the coefficients c_s q^(D - s) of the exponents s
+    that occur, 0 among them, each step multiplying by the power of a that
+    spans the gap to the next one.
     """
-    shift = eval_at_one(p)
+    degree = p.terms[-1][0] if p.terms else 0
     step = (SCAN_HI - SCAN_LO) / SCAN_STEPS
+    q = lcm(SCAN_LO.denominator, step.denominator)
+    lo, dx = int(SCAN_LO * q), int(step * q)
+    coeffs = {0: 1 - eval_at_one(p)}
+    for s, t in p.terms:
+        coeffs[s] = coeffs.get(s, 0) + t
+    scaled = [(s, c * q ** (degree - s)) for s, c in sorted(coeffs.items(), reverse=True)]
     changes = zeros = 0
     prev = None  # sign of the last nonzero value; exact zeros are skipped
-    for i in range(SCAN_STEPS + 1):
-        val = polynomial_eval(p, SCAN_LO + i * step) - shift
+    for a in range(lo, lo + SCAN_STEPS * dx + 1, dx):
+        val, top = 0, degree
+        for s, c in scaled:
+            val = val * a ** (top - s) + c
+            top = s
         if val == 0:
             zeros += 1
             continue
@@ -138,7 +164,7 @@ def shifted_sign_scan(p: ArithPolynomial) -> dict:
         "lo": format_rational(SCAN_LO),
         "hi": format_rational(SCAN_HI),
         "steps": SCAN_STEPS,
-        "degree": p.terms[-1][0] if p.terms else 0,
+        "degree": degree,
         "sign_changes": changes,
         "exact_zeros_on_grid": zeros,
     }

@@ -19,6 +19,8 @@ def _run(*args):
 VERIFY = ("verify", "--identity", "lemma-a", "--nmax", "200", "--x", "1/2", "--prime-bound", "50", "--exp-bound", "4")
 PARTITION = ("verify", "--identity", "partition-product", "--order", "300")
 WARING = ("waring", "--s", "4", "--t", "8", "--order", "2000")
+CLASSIFY = ("classify", "--fn", "sigma", "--bound", "2000", "--decomposable", "multiplicative")
+PROBNUM = ("probnum", "--beta", "omega", "--M", "2000", "--roots")
 
 
 def test_traced_jobs_print_the_untraced_output_and_a_trace():
@@ -29,6 +31,8 @@ def test_traced_jobs_print_the_untraced_output_and_a_trace():
         "lib": (("perfbench/libjob.py", "1", "2"), ("lib", "1", "2")),
         "partition": (("-m", "arithmos.cli", *PARTITION), ("cli", *PARTITION)),
         "waring": (("-m", "arithmos.cli", *WARING), ("cli", *WARING)),
+        "classify": (("-m", "arithmos.cli", *CLASSIFY), ("cli", *CLASSIFY)),
+        "probnum": (("-m", "arithmos.cli", *PROBNUM), ("cli", *PROBNUM)),
     }
     spans, counters = {}, {}
     for name, (plain_args, traced_args) in jobs.items():
@@ -57,3 +61,8 @@ def test_traced_jobs_print_the_untraced_output_and_a_trace():
         assert spans["partition"][span][0] > 0, span
     # t = 8 is three squares, each one ps_mul call whether or not it takes the square path
     assert spans["waring"]["powerseries.ps_mul"][0] == 3
+    # the range layer's passes, each bound by name, so their per-layer metrics still move
+    for name, span in (("classify", "core.build_sieve"), ("classify", "classify.classify"),
+                       ("classify", "classify.verify_decomposable"), ("probnum", "core.build_sieve"),
+                       ("probnum", "probnum.build_polynomial"), ("probnum", "probnum.shifted_sign_scan")):
+        assert spans[name][span][0] > 0, (name, span)

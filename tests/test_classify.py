@@ -1,4 +1,6 @@
 import math
+import operator
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -7,12 +9,14 @@ import pytest
 from arithmos.classify import (
     REAL_TOL,
     ArithFnHandle,
+    ClassificationReport,
     EvaluationError,
     classify,
+    evaluate_range,
     exp_transform,
     verify_decomposable,
 )
-from arithmos.core import factorize
+from arithmos.core import factorize, prime_power_table
 from arithmos.functions import make_handle
 
 
@@ -73,6 +77,64 @@ def test_completely_implies_plain(handles):
             assert rep.multiplicative
         if rep.completely_additive:
             assert rep.additive
+
+
+def pair_scan(f, bound):
+    """The earlier :func:`classify`: every pair (m, n) in turn, the product and the sum law per pair."""
+    v = evaluate_range(f, bound)
+    eq = (lambda a, b: abs(a - b) <= REAL_TOL) if f.real else operator.eq
+    witnesses = {}
+    m = 1
+    while m * m <= bound and len(witnesses) < 4:
+        vm = v[m]
+        for n in range(m, bound // m + 1):
+            vmn, vn = v[m * n], v[n]
+            if not eq(vmn, vm * vn):
+                if "completely_multiplicative" not in witnesses:
+                    witnesses["completely_multiplicative"] = (m, n)
+                if "multiplicative" not in witnesses and gcd(m, n) == 1:
+                    witnesses["multiplicative"] = (m, n)
+            if not eq(vmn, vm + vn):
+                if "completely_additive" not in witnesses:
+                    witnesses["completely_additive"] = (m, n)
+                if "additive" not in witnesses and gcd(m, n) == 1:
+                    witnesses["additive"] = (m, n)
+            if len(witnesses) == 4:
+                break
+        m += 1
+    return ClassificationReport(
+        f.name, bound, "multiplicative" not in witnesses, "completely_multiplicative" not in witnesses,
+        "additive" not in witnesses, "completely_additive" not in witnesses, witnesses, f.real,
+    )
+
+
+# 1983 = 3 * 661 > 2000 / 2, so d with d(1983) raised by one breaks the multiplicative law at the
+# coprime pair (3, 661) and at no other pair of the scan to 2000
+PLANTED = 1983
+
+
+def scan_cases():
+    d = make_handle("d")
+    planted = ArithFnHandle("d_planted", lambda n: d.eval(n) + (n == PLANTED))
+    return {
+        **{fn_id: make_handle(fn_id) for fn_id in ("d", "omega", "bigomega", "phi")},
+        "sigma": make_handle("sigma", t=1),
+        "log": make_handle("log"),
+        "2^omega": exp_transform(make_handle("omega"), 2),
+        "sigma/n": ArithFnHandle("sigma/n", lambda n: Fraction(make_handle("sigma").eval(n), n)),
+        "d_planted": planted,
+    }
+
+
+@pytest.mark.parametrize("name", list(scan_cases()))
+def test_classify_matches_the_pair_scan(sieve10k, name):
+    f = scan_cases()[name]
+    for bound in (4, 97, 2000):
+        got, want = classify(f, bound), pair_scan(f, bound)
+        assert got == want
+        assert list(got.witnesses.items()) == list(want.witnesses.items())
+    if name == "d_planted":
+        assert got.witnesses["multiplicative"] == (3, 661)
 
 
 def test_small_bound_rejected(handles):
@@ -146,6 +208,50 @@ def test_decomposable_witness_matches_per_n_oracle(sieve10k, fn_id, mode):
     witness = first_reconstruction_failure(f, mode, 3000)
     res = verify_decomposable(f, mode, 3000)
     assert (res.ok, res.witness) == (witness is None, witness)
+
+
+def decomposable_scan(f, mode, bound):
+    """The earlier :func:`verify_decomposable`: one generator over n = 2..bound."""
+    v = evaluate_range(f, bound)
+    eq = (lambda a, b: abs(a - b) <= REAL_TOL) if f.real else operator.eq
+    combine, unit = (operator.mul, 1) if mode == "multiplicative" else (operator.add, 0)
+    rebuilt = prime_power_table(bound, lambda p, a: v[p**a], combine, unit)
+    witness = next((n for n in range(2, bound + 1) if not eq(v[n], rebuilt[n])), None)
+    return witness is None, witness
+
+
+def planted_at(f, changes):
+    """f with ``v[n]`` replaced by ``change(v[n])`` for each (n, change) in ``changes``."""
+    def table(bound):
+        v = evaluate_range(f, bound)
+        for n, change in changes:
+            v[n] = change(v[n])
+        return v
+    return replace(f, name=f.name + "_planted", range_values=table)
+
+
+BOUND = 1000  # 2^3 * 5^3: not a prime power, so a value changed there is not read back as g(p, a)
+
+
+@pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+def test_decomposable_matches_the_generator_scan(sieve10k, mode):
+    # a NaN differs from itself, so it is a mismatch even at the prime 2
+    cases = [
+        (make_handle("d"), []),
+        (make_handle("omega"), [(BOUND, lambda x: x + 1)]),
+        (make_handle("phi"), [(BOUND, lambda x: x - 1)]),
+        (ArithFnHandle("sigma/n", lambda n: Fraction(make_handle("sigma").eval(n), n)), [(BOUND, lambda x: x / 2)]),
+        (make_handle("log"), [(2, lambda x: math.nan)]),
+        (make_handle("log"), [(2, lambda x: math.nan), (BOUND, lambda x: x + 1)]),
+        (make_handle("log"), [(BOUND, lambda x: x + 1)]),
+    ]
+    witnesses = set()
+    for f, changes in cases:
+        f = planted_at(f, changes)
+        got = verify_decomposable(f, mode, BOUND)
+        assert (got.ok, got.witness) == decomposable_scan(f, mode, BOUND), (f.name, mode)
+        witnesses.add(got.witness)
+    assert {2, BOUND} <= witnesses
 
 
 def test_decomposable_notes_memory_distinction(handles):

@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from functools import lru_cache, partial
 from math import gcd, isqrt
 
@@ -60,6 +61,10 @@ def is_prime_by_trial(n):
     return True
 
 
+def primes_by_trial(limit):
+    return [p for p in range(2, limit + 1) if is_prime_by_trial(p)]
+
+
 def totient_sieve(limit):
     # in-place multiple sweep; never consults a factorization
     tot = list(range(limit + 1))
@@ -103,6 +108,30 @@ def test_sieve_large_prime_entry():
     s = build_sieve(10**6)
     assert is_prime_by_trial(999983)
     assert s[999983] == 999983
+
+
+def loop_sieve(limit):
+    """The earlier :func:`build_sieve`: ``list(range(limit + 1))``, then each prime's multiples in turn."""
+    spf = list(range(limit + 1))
+    for i in range(2, isqrt(limit) + 1):
+        if spf[i] == i:
+            for j in range(i * i, limit + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
+
+
+def test_sieve_matches_the_loop_sieve_at_every_limit(monkeypatch):
+    # an entry of the loop sieve depends on its index only, so its table at a limit is the prefix
+    # of its table at 3000; every build starts from an empty cache, and keeps its primes
+    for top, limits in ((3000, range(3001)), (2 * 10**5, [2 * 10**5])):
+        want = loop_sieve(top)
+        primes = [p for p in range(2, top + 1) if want[p] == p]
+        for limit in limits:
+            monkeypatch.setattr(core, "_spf", [])
+            monkeypatch.setattr(core, "_prime_list", (1, []))
+            assert build_sieve(limit) == want[:limit + 1], limit
+            assert core._prime_list == (limit, primes[:bisect_right(primes, limit)]), limit
 
 
 def test_sieve_invariants_sample(sieve10k):
@@ -309,10 +338,14 @@ def _sieve_of(monkeypatch, limit):
 
 
 def test_results_do_not_depend_on_the_shared_sieve(monkeypatch):
-    # the shared sieve empty, smaller than the request and larger: every call starts from it
+    # the shared sieve empty, smaller than the request and larger, each with the shared prime list
+    # empty; then the list longer than an empty and a small sieve, and short of the request with a
+    # large one: every call starts from what it finds
     top = 600
-    states = [[], _sieve_of(monkeypatch, 50), _sieve_of(monkeypatch, 5000)]
-    assert [len(spf) for spf in states] == [0, 51, 5001]
+    empty, small, large = [], _sieve_of(monkeypatch, 50), _sieve_of(monkeypatch, 5000)
+    assert [len(spf) for spf in (empty, small, large)] == [0, 51, 5001]
+    short, long = (50, primes_by_trial(50)), (5000, primes_by_trial(5000))
+    states = [(empty, (1, [])), (small, (1, [])), (large, (1, [])), (empty, long), (small, long), (large, short)]
     big = (97**20, 10**12 + 39)
     calls = {
         **{f"range_values {fn_id} {t}": partial(range_values, fn_id, top, t) for fn_id, t, _ in LOCAL_CASES},
@@ -323,18 +356,34 @@ def test_results_do_not_depend_on_the_shared_sieve(monkeypatch):
         "primes_upto": partial(primes_upto, top),
         "prime_count_upto": partial(prime_count_upto, top),
         "sigma_2 eval": lambda: [make_handle("sigma", t=2).eval(n) for n in range(1, top + 1)],
-        "pi eval": lambda: make_handle("pi").eval(top),
+        "pi eval": lambda: [make_handle("pi").eval(n) for n in (1, 2, 50, 51, top, 4999, 5000, 5001)],
     }
     results = []
-    for spf in states:
+    for spf, prime_list in states:
         got = {}
         for name, call in calls.items():
             monkeypatch.setattr(core, "_spf", spf)
+            monkeypatch.setattr(core, "_prime_list", prime_list)
             got[name] = call()
         results.append(got)
-    assert results[0] == results[1] == results[2]
+    assert all(got == results[0] for got in results)
     assert results[0]["factorize beyond"] == [trial_factorize(n) for n in big]
+    assert results[0]["primes_upto"] == primes_by_trial(top)
     assert results[0]["prime_count_upto"] == len(results[0]["primes_upto"]) == 109
+    assert results[0]["pi eval"] == [0, 1, 15, 15, 109, 669, 669, 669]
+
+
+def test_primes_upto_returns_a_list_of_its_own(monkeypatch):
+    monkeypatch.setattr(core, "_spf", [])
+    monkeypatch.setattr(core, "_prime_list", (1, []))
+    build_sieve(1000)
+    for limit in (100, 1000):
+        got = primes_upto(limit)
+        assert got is not core._prime_list[1]
+        got[0] = 4
+        got.append(1001)
+    assert core._prime_list == (1000, primes_by_trial(1000))
+    assert primes_upto(1000) == primes_by_trial(1000)
 
 
 def test_partition_range_reads_the_cache():

@@ -1,18 +1,20 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arithmos.classify import ArithFnHandle
+from arithmos.classify import ArithFnHandle, evaluate_range
 from arithmos.cli import PARTITION_CEILING
 from arithmos.core import factorize, partition_count, prime_power_table, primes_upto
 from arithmos.functions import constant_one, make_handle
 from arithmos.identities import (
+    IdentityCheckReport,
     LocalFactorSpec,
     builtin_spec,
     euler_zeta_check,
@@ -128,8 +130,6 @@ def test_builtin_spec_validation():
 
 
 def test_report_passes_iff_no_failures():
-    from arithmos.identities import IdentityCheckReport
-
     assert IdentityCheckReport(()).passed
     assert not IdentityCheckReport((4,)).passed
 
@@ -162,6 +162,42 @@ def test_per_term_negative_control(sieve10k):
     )
     assert not report.passed
     assert report.per_term_failures[0] == 4
+
+
+def per_term_scan(spec, direct_alpha, direct_beta, n_max):
+    """The earlier :func:`verify_per_term`: one generator over n per side."""
+    failures = set()
+    for direct, local, combine, unit in ((direct_alpha, spec.theta, mul, 1), (direct_beta, spec.kappa, add, 0)):
+        want = evaluate_range(direct, n_max)
+        got = prime_power_table(n_max, local, combine, unit)
+        failures.update(n for n in range(2, n_max + 1) if got[n] != want[n])
+    return IdentityCheckReport(tuple(sorted(failures)))
+
+
+def planted(f, at):
+    """f with one added to its range table at each n of ``at``."""
+    def table(n_max):
+        v = evaluate_range(f, n_max)
+        for n in at:
+            v[n] += 1
+        return v
+    return replace(f, range_values=table)
+
+
+def test_per_term_matches_the_generator_scan(sieve10k):
+    n_max = 5000
+    spec = builtin_spec("lemma-b", t=1)
+    sigma, omega = make_handle("sigma", t=1), make_handle("omega")
+    cases = {
+        (): (sigma, omega),
+        (2,): (planted(sigma, [2]), omega),
+        (n_max,): (sigma, planted(omega, [n_max])),
+        (2, 97, n_max): (planted(sigma, [2, n_max]), planted(omega, [97, n_max])),
+    }
+    for failures, (alpha, beta) in cases.items():
+        got = verify_per_term(spec, alpha, beta, n_max)
+        assert got == per_term_scan(spec, alpha, beta, n_max)
+        assert got.per_term_failures == failures
 
 
 def test_per_term_range_validated(sieve10k):
