@@ -34,6 +34,8 @@ from .functions import FUNCTION_IDS, INTEGER_FUNCTION_IDS, constant_one, make_ha
 from .identities import (
     BUILTIN_SPEC_IDS,
     LEMMA_DIRECT,
+    IdentityCheckReport,
+    NumericCheck,
     builtin_spec,
     euler_zeta_check,
     numeric_identity_check,
@@ -47,9 +49,9 @@ from .waring import brute_force_count, integer_root, verify_lemma_g, waring_coun
 IDENTITY_IDS = BUILTIN_SPEC_IDS + ("euler-product", "partition-product")
 
 #: Largest value accepted by the size flags (table --nmax, classify --bound,
-#: probnum --M, waring --order, verify --nmax/--order/--prime-bound/--exp-bound)
-#: and by the enumeration of waring --check-bruteforce; checked before anything
-#: of that size is allocated or run.
+#: probnum --M, waring --order, verify --nmax/--order/--prime-bound/--exp-bound),
+#: each declared as a click.IntRange, and by the enumeration of waring
+#: --check-bruteforce; checked before anything of that size is allocated or run.
 RANGE_CEILING = 10**7
 
 #: Largest size of the partition paths (table/classify/probnum with partition and
@@ -75,11 +77,7 @@ DENOMINATOR_CEILING = 4 * 10**5
 EMIT_BATCH = 1024
 
 
-def _check_range(value: int, flag: str, least: int | None = None, partition: bool = False) -> None:
-    if least is not None and value < least:
-        raise click.UsageError(f"{flag} must be >= {least}")
-    if value > RANGE_CEILING:
-        raise click.UsageError(f"{flag} must be <= {RANGE_CEILING} (the range ceiling), got {value}")
+def _check_partition(value: int, flag: str, partition: bool = True) -> None:
     if partition and value > PARTITION_CEILING:
         raise click.UsageError(f"{flag} must be <= {PARTITION_CEILING} (the partition ceiling), got {value}")
 
@@ -299,12 +297,12 @@ def cli(ctx: click.Context, config: str | None) -> None:
 @cli.command()
 @click.option("--fn", required=True, type=click.Choice(INTEGER_FUNCTION_IDS), help="Function to tabulate.")
 @click.option("--t", type=int, default=None, help="Power parameter (sigma/L only).")
-@click.option("--nmax", type=int, required=True, help="Tabulate n = 1..NMAX.")
+@click.option("--nmax", type=click.IntRange(1, RANGE_CEILING), required=True, help="Tabulate n = 1..NMAX.")
 @click.option("--format", type=click.Choice(["csv", "structured"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Output file (default: stdout).")
 def table(fn: str, t: int | None, nmax: int, format: str, out: str | None) -> None:
     """Write (n, f(n)) rows for n = 1..NMAX."""
-    _check_range(nmax, "--nmax", 1, partition=fn == "partition")
+    _check_partition(nmax, "--nmax", fn == "partition")
     _check_digits(fn, t, nmax, 1)
     handle = _usage(make_handle, fn, t=t)
     values = evaluate_range(handle, nmax)
@@ -316,17 +314,30 @@ def table(fn: str, t: int | None, nmax: int, format: str, out: str | None) -> No
     _emit(report, out)
 
 
+def _per_term_section(report: IdentityCheckReport, /, **params) -> dict:
+    """A verify section of per-term failures, under the parameters that bound the check."""
+    return {**params, "failures": list(report.per_term_failures), "passed": report.passed}
+
+
+def _gap_section(check: NumericCheck, gap_tol: str | None, tol: Fraction | None, /, **params) -> dict:
+    """A verify section of product, sum and gap; it passes or fails only against a tolerance."""
+    return {**params, "product": _decimal(check.lhs), "sum": _decimal(check.rhs), "gap": _decimal(check.gap),
+            "gap_tol": gap_tol, "passed": None if tol is None else check.gap <= tol}
+
+
 @cli.command()
 @click.option("--identity", required=True, type=click.Choice(IDENTITY_IDS))
 @click.option("--t", type=int, default=None, help="Power parameter (lemma-b needs t >= 0, lemma-d t >= 1).")
-@click.option("--nmax", type=int, default=10000, show_default=True,
+@click.option("--nmax", type=click.IntRange(1, RANGE_CEILING), default=10000, show_default=True,
               help="Per-term range for lemma identities; sum truncation for euler-product and the numeric check.")
-@click.option("--order", type=int, default=1000, show_default=True, help="Series order for partition-product.")
-@click.option("--s", type=int, default=2, show_default=True, help="Exponent for euler-product.")
-@click.option("--prime-bound", type=int, default=10000, show_default=True)
-@click.option("--exp-bound", type=int, default=16, show_default=True)
+@click.option("--order", type=click.IntRange(1, RANGE_CEILING), default=1000, show_default=True,
+              help="Series order for partition-product.")
+@click.option("--s", type=click.IntRange(min=2), default=2, show_default=True, help="Exponent for euler-product.")
+@click.option("--prime-bound", type=click.IntRange(max=RANGE_CEILING), default=10000, show_default=True)
+@click.option("--exp-bound", type=click.IntRange(1, RANGE_CEILING), default=16, show_default=True)
 @click.option("--x", default=None, help='Rational like "1/2"; enables the numeric product-vs-sum check.')
-@click.option("--k", type=int, default=None, help="Integer exponent >= 2 for the numeric check (default 2).")
+@click.option("--k", type=click.IntRange(min=2), default=None,
+              help="Integer exponent >= 2 for the numeric check (default 2).")
 @click.option("--gap-tol", default=None,
               help="Rational tolerance; numeric and euler gaps above it fail the run.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -345,80 +356,35 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
             raise click.UsageError(f"{flag} is not read by --identity {identity}{unless}")
     gap_tol_value = _parse_rational_opt(gap_tol, "--gap-tol")
     body: dict = {}
-    all_passed = True
 
     if lemma:
-        _check_range(nmax, "--nmax", 2)
+        if nmax < 2:
+            raise click.UsageError("--nmax must be >= 2")
         spec = _usage(builtin_spec, identity, t=t)
         x_value = _parse_rational_opt(x, "--x")
         k_value = 2 if k is None else k
         if x_value is not None:
-            if k_value < 2:
-                raise click.UsageError("--k must be an integer >= 2")
-            _check_range(prime_bound, "--prime-bound")
-            _check_range(exp_bound, "--exp-bound", 1)
             _check_denominator("--k * --nmax", k_value * nmax)
             _check_denominator("--k * --exp-bound * --prime-bound", k_value * exp_bound * prime_bound)
         alpha_id, beta_id = LEMMA_DIRECT[identity]
         direct_alpha = constant_one() if alpha_id is None else make_handle(alpha_id, t=t)
         direct_beta = make_handle(beta_id, t=t if beta_id == "L" else None)
         report = verify_per_term(spec, direct_alpha, direct_beta, nmax)
-        body["per_term"] = {
-            "spec": spec.name,
-            "n_max": nmax,
-            "failures": list(report.per_term_failures),
-            "passed": report.passed,
-        }
-        all_passed &= report.passed
+        body["per_term"] = _per_term_section(report, spec=spec.name, n_max=nmax)
         if x_value is not None:
             num = numeric_identity_check(spec, x_value, k_value, prime_bound, exp_bound, nmax)
-            numeric_passed = None if gap_tol_value is None else num.gap <= gap_tol_value
-            body["numeric"] = {
-                "x": format_rational(x_value),
-                "k": k_value,
-                "prime_bound": prime_bound,
-                "exp_bound": exp_bound,
-                "n_max": nmax,
-                "product": _decimal(num.lhs),
-                "sum": _decimal(num.rhs),
-                "gap": _decimal(num.gap),
-                "gap_tol": gap_tol,
-                "passed": numeric_passed,
-            }
-            if numeric_passed is False:
-                all_passed = False
+            body["numeric"] = _gap_section(num, gap_tol, gap_tol_value, x=format_rational(x_value), k=k_value,
+                                           prime_bound=prime_bound, exp_bound=exp_bound, n_max=nmax)
     elif identity == "euler-product":
-        if s < 2:
-            raise click.UsageError("--s must be an integer >= 2")
-        _check_range(nmax, "--nmax", 1)
-        _check_range(prime_bound, "--prime-bound")
         _check_denominator("--s * --nmax", s * nmax)
         _check_denominator("--s * --prime-bound", s * prime_bound)
         check = euler_zeta_check(s, nmax, prime_bound)
-        euler_passed = None if gap_tol_value is None else check.gap <= gap_tol_value
-        body["euler"] = {
-            "s": s,
-            "n_max": nmax,
-            "prime_bound": prime_bound,
-            "sum": _decimal(check.sum_value),
-            "product": _decimal(check.product_value),
-            "gap": _decimal(check.gap),
-            "gap_tol": gap_tol,
-            "passed": euler_passed,
-        }
-        if euler_passed is False:
-            all_passed = False
+        body["euler"] = _gap_section(check, gap_tol, gap_tol_value, s=s, n_max=nmax, prime_bound=prime_bound)
     else:  # partition-product
-        _check_range(order, "--order", 1, partition=True)
-        report = partition_product_check(order)
-        body["partition_product"] = {
-            "order": order,
-            "failures": list(report.per_term_failures),
-            "passed": report.passed,
-        }
-        all_passed &= report.passed
+        _check_partition(order, "--order")
+        body["partition_product"] = _per_term_section(partition_product_check(order), order=order)
 
-    body["all_passed"] = bool(all_passed)
+    body["all_passed"] = all_passed = all(section["passed"] is not False for section in body.values())
     _emit(_structured(body), out)
     if not all_passed:
         sys.exit(1)
@@ -427,13 +393,14 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
 @cli.command("classify")
 @click.option("--fn", required=True, type=click.Choice(FUNCTION_IDS))
 @click.option("--t", type=int, default=None, help="Power parameter (sigma/L only).")
-@click.option("--bound", type=int, required=True, help="Test all pairs with m*n <= BOUND.")
+@click.option("--bound", type=click.IntRange(4, RANGE_CEILING), required=True,
+              help="Test all pairs with m*n <= BOUND.")
 @click.option("--decomposable", type=click.Choice(["multiplicative", "additive"]), default=None,
               help="Also check reconstruction from the prime-power table g(p,a) = f(p^a).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def classify_cmd(fn: str, t: int | None, bound: int, decomposable: str | None, out: str | None) -> None:
     """Classify a function over 1..BOUND; the verdict lives in the report."""
-    _check_range(bound, "--bound", 4, partition=fn == "partition")
+    _check_partition(bound, "--bound", fn == "partition")
     handle = _usage(make_handle, fn, t=t)
     if decomposable:
         # both checks read one table of f over 1..bound
@@ -448,11 +415,12 @@ def classify_cmd(fn: str, t: int | None, bound: int, decomposable: str | None, o
 
 @cli.command()
 @click.option("--s", type=int, required=True, help="Even power >= 2.")
-@click.option("--t", type=int, default=None, help="Number of summands for the count table.")
-@click.option("--order", type=int, required=True, help="Highest index in the count table.")
-@click.option("--check-bruteforce", type=int, default=None,
+@click.option("--t", type=click.IntRange(min=1), default=None, help="Number of summands for the count table.")
+@click.option("--order", type=click.IntRange(0, RANGE_CEILING), required=True,
+              help="Highest index in the count table.")
+@click.option("--check-bruteforce", type=click.IntRange(min=0), default=None,
               help="Cross-check counts against enumeration for m <= LIMIT.")
-@click.option("--lemma-g", type=(int, int), default=None,
+@click.option("--lemma-g", type=(click.IntRange(min=1), click.IntRange(min=1)), default=None,
               help="Check the (T+R)-th power against the product of the T-th and R-th.")
 @click.option("--format", type=click.Choice(["csv", "structured"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -461,18 +429,11 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
     """Representation-count tables for sums of s-th powers, with cross-checks."""
     if s < 2 or s % 2:
         raise click.UsageError(f"odd power s={s} is unsupported; use an even s >= 2")
-    _check_range(order, "--order", 0)
     if t is None and lemma_g is None:
         raise click.UsageError("provide --t for a count table and/or --lemma-g T R")
     if t is None and check_bruteforce is not None:
         raise click.UsageError("--check-bruteforce checks the count table; it needs --t")
-    if t is not None and t < 1:
-        raise click.UsageError("--t must be >= 1")
-    if lemma_g is not None and min(lemma_g) < 1:
-        raise click.UsageError("--lemma-g arguments must be >= 1")
     if check_bruteforce is not None:
-        if check_bruteforce < 0:
-            raise click.UsageError("--check-bruteforce must be >= 0")
         top = min(check_bruteforce, order)
         base = integer_root(top, s) + 1
         # base**t tuples bound the enumeration; an exponent past the ceiling's bit length
@@ -517,7 +478,7 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
 @click.option("--beta", required=True, type=click.Choice(INTEGER_FUNCTION_IDS),
               help="Exponent function for the histogram.")
 @click.option("--t", type=int, default=None, help="Power parameter (sigma/L only).")
-@click.option("--M", "m", type=int, required=True, help="Histogram over n = 1..M.")
+@click.option("--M", "m", type=click.IntRange(1, RANGE_CEILING), required=True, help="Histogram over n = 1..M.")
 @click.option("--roots/--no-roots", default=False,
               help="Scan the shifted polynomial for real-root evidence (reported, never asserted).")
 @click.option("--format", type=click.Choice(["csv", "structured"]), default="structured",
@@ -525,7 +486,7 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str | None) -> None:
     """Exponent histogram over 1..M, its exact PMF, and the first four moments."""
-    _check_range(m, "--M", 1, partition=beta == "partition")
+    _check_partition(m, "--M", beta == "partition")
     if roots and format == "csv":
         raise click.UsageError("--roots is reported in the structured format only, not with --format csv")
     _check_digits(beta, t, m, 1 if format == "csv" else 4)

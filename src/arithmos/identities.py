@@ -45,6 +45,8 @@ class LocalFactorSpec(NamedTuple):
 
 
 class NumericCheck(NamedTuple):
+    """Exact truncations of both sides of a product-vs-sum identity, and their gap."""
+
     lhs: Fraction  # truncated product
     rhs: Fraction  # truncated sum
     gap: Fraction
@@ -253,32 +255,26 @@ def numeric_identity_check(
     return NumericCheck(lhs, rhs, abs(lhs - rhs))
 
 
-class EulerZetaCheck(NamedTuple):
-    sum_value: Fraction
-    product_value: Fraction
-    gap: Fraction
-
-
-def euler_zeta_check(s: int, n_max: int, prime_bound: int) -> EulerZetaCheck:
+def euler_zeta_check(s: int, n_max: int, prime_bound: int) -> NumericCheck:
     """Truncate both sides of the zeta product-sum identity exactly.
 
-    The sum side is sum_{n=1..n_max} n^-s; the product side multiplies the
-    closed-form geometric factors p^s / (p^s - 1) over p <= prime_bound.
-    The gap shrinks as both bounds grow.
+    The product side (lhs) multiplies the closed-form geometric factors
+    p^s / (p^s - 1) over p <= prime_bound; the sum side (rhs) is
+    sum_{n=1..n_max} n^-s. The gap shrinks as both bounds grow.
     """
     if s < 2:
         raise ValueError(f"s must be an integer >= 2, got {s}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    sum_value = exact_sum([1] * n_max, [n**s for n in range(1, n_max + 1)])
+    rhs = exact_sum([1] * n_max, [n**s for n in range(1, n_max + 1)])
     num = 1
     den = 1
     for p in primes_upto(prime_bound):
         ps = p**s
         num *= ps
         den *= ps - 1
-    product_value = Fraction(num, den)
-    return EulerZetaCheck(sum_value, product_value, abs(sum_value - product_value))
+    lhs = Fraction(num, den)
+    return NumericCheck(lhs, rhs, abs(lhs - rhs))
 
 
 def partition_product_series(order: int) -> TruncatedSeries:

@@ -25,7 +25,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .classify import ArithFnHandle, evaluate_range
-from .powerseries import Rational, TruncatedSeries, as_rational, format_rational
+from .powerseries import Rational, as_rational, format_rational
 
 
 class ArithPolynomial(NamedTuple):
@@ -99,27 +99,6 @@ def moment(pmf: Pmf, r: int) -> Fraction:
     if r < 1:
         raise ValueError(f"moment order must be >= 1, got {r}")
     return sum((q * s**r for s, q in pmf.support), Fraction(0))
-
-
-def moment_function_eval(pmf: Pmf, x: Rational) -> Fraction:
-    """sum of q_j x^(s_j); equals exactly 1 at x = 1."""
-    xf = Fraction(as_rational(x))
-    return sum((q * xf**s for s, q in pmf.support), Fraction(0))
-
-
-def normalize_summable_series(a: TruncatedSeries) -> Pmf:
-    """Normalize nonnegative series coefficients by their total mass.
-
-    The finite truncation stands in for a summable coefficient sequence;
-    zero coefficients leave the support, and negative ones are rejected.
-    """
-    if any(c < 0 for c in a.coeffs):
-        raise ValueError("series has a negative coefficient; not normalizable")
-    total = sum(a.coeffs, Fraction(0))
-    if total == 0:
-        raise ValueError("series is identically zero; not normalizable")
-    support = tuple((i, Fraction(c) / total) for i, c in enumerate(a.coeffs) if c)
-    return Pmf(support)
 
 
 #: The grid of :func:`shifted_sign_scan`: SCAN_STEPS + 1 evenly spaced points on

@@ -101,8 +101,8 @@ def test_criterion_02_numeric_convergence(sieve100k):
 def test_criterion_03_euler_oracles(sieve10k):
     check = euler_zeta_check(2, 10**4, 10**4)
     zeta_ok = check.gap < Fraction(1, 1000)
-    zeta_ok = zeta_ok and abs(float(check.sum_value) - 1.6449) < 1e-3
-    zeta_ok = zeta_ok and abs(float(check.product_value) - 1.6449) < 1e-3
+    zeta_ok = zeta_ok and abs(float(check.rhs) - 1.6449) < 1e-3
+    zeta_ok = zeta_ok and abs(float(check.lhs) - 1.6449) < 1e-3
     series = partition_product_series(1000)
     coeff_ok = all(series.coeffs[n] == partition_count(n) for n in range(1001))
     spots_ok = series.coeffs[0] == 1 and series.coeffs[5] == 7 == partition_count(5)

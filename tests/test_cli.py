@@ -147,7 +147,7 @@ def test_verify_numeric_check_failing_tolerance():
 def test_verify_exp_bound_must_be_positive():
     res = run("verify", "--identity", "lemma-a", "--nmax", "100", "--x", "1/2", "--exp-bound", "0")
     assert res.exit_code == 2
-    assert "--exp-bound must be >= 1" in res.output
+    assert f"Invalid value for '--exp-bound': 0 is not in the range 1<=x<={RANGE_CEILING}" in res.output
 
 
 def test_verify_euler_product():
@@ -188,6 +188,27 @@ def test_verify_unread_flag_rejected(monkeypatch, tmp_path, identity, flag, valu
     assert res.exit_code == 2
     assert res.stdout == ""
     assert f"{flag} is not read by --identity {identity}" in res.stderr
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("verify", "--identity", "lemma-a", "--x", "1/2", "--k", "1"), "--k"),
+    (("verify", "--identity", "euler-product", "--s", "1"), "--s"),
+    (("waring", "--s", "2", "--t", "0", "--order", "10"), "--t"),
+    (("waring", "--s", "2", "--lemma-g", "0", "1", "--order", "10"), "--lemma-g"),
+    (("waring", "--s", "2", "--t", "2", "--order", "-1"), "--order"),
+    (("classify", "--fn", "d", "--bound", "3"), "--bound"),
+    # out of range also where the identity does not read the flag
+    (("verify", "--identity", "partition-product", "--nmax", "0"), "--nmax"),
+    (("verify", "--identity", "lemma-a", "--order", "0"), "--order"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+def test_value_below_its_flag_range_rejected(monkeypatch, args, flag):
+    for name in ("verify_per_term", "numeric_identity_check", "euler_zeta_check", "partition_product_check",
+                 "waring_counts", "verify_lemma_g", "run_classification"):
+        monkeypatch.setattr(f"arithmos.cli.{name}", _no_work)
+    res = run(*args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"Invalid value for '{flag}'" in res.stderr
 
 
 # --- classify ----------------------------------------------------------------
@@ -252,7 +273,7 @@ def test_waring_table_with_bruteforce_check():
 def test_waring_bruteforce_limit_must_be_nonnegative():
     res = run("waring", "--s", "2", "--t", "2", "--order", "10", "--check-bruteforce", "-3")
     assert res.exit_code == 2
-    assert "--check-bruteforce must be >= 0" in res.output
+    assert "Invalid value for '--check-bruteforce': -3 is not in the range x>=0" in res.output
 
 
 def test_waring_bruteforce_enumeration_above_ceiling_rejected():
@@ -483,7 +504,8 @@ def test_range_above_ceiling_rejected_before_allocation(args):
     # only ceiling + 1 is ever tried: it is refused before any sieve is built
     res = run(*args, str(RANGE_CEILING + 1))
     assert res.exit_code == 2
-    assert f"{args[-1]} must be <= {RANGE_CEILING}" in res.output
+    assert f"Invalid value for '{args[-1]}': {RANGE_CEILING + 1} is not in the range" in res.output
+    assert f"x<={RANGE_CEILING}." in res.output
 
 
 # the smallest refused value of each estimate; the largest admitted ones take seconds
@@ -566,6 +588,23 @@ REPORT_SHA256 = [
      "60bf4a44370cec2cc5940c037767554813c8764604320dfc65dd29b62ba99e3f"),
     (("probnum", "--beta", "omega", "--M", "1"),
      "31f81529412b55a9e602854fc769567249723d9f578d7403773bdce497687676"),
+    # recorded before verify built its sections from one product-vs-sum record
+    (("verify", "--identity", "lemma-a", "--nmax", "2000", "--x", "1/2", "--prime-bound", "100",
+      "--exp-bound", "8", "--gap-tol", "1/100"),
+     "9d9ad16a2302094e025d2c04701c2cd89fd6ac1c3af80a1f6c76982c19ff473c"),
+    (("verify", "--identity", "euler-product", "--s", "2", "--nmax", "2000", "--prime-bound", "500",
+      "--gap-tol", "1/100"),
+     "1680e89568a371dddd958dbadf1ceaaf4c99ed2b3d3e54d775a88297aaf82129"),
+]
+
+# reports of a failed check, written in full before the run exits 1
+FAILED_CHECK_SHA256 = [
+    (("verify", "--identity", "lemma-a", "--nmax", "2000", "--x", "1/2", "--prime-bound", "100",
+      "--exp-bound", "8", "--gap-tol", "1/1000000000"),
+     "656af999d4687fb57d4e2c1b2ace7de5ce57ffb2e6eab5a1f906564c56a3c0c4"),
+    (("verify", "--identity", "euler-product", "--s", "2", "--nmax", "2000", "--prime-bound", "500",
+      "--gap-tol", "1/1000000000"),
+     "433b2f1bdd8afb6ef02a0e24a406387d11878ee976a5ad76f97830565ca97714"),
 ]
 
 
@@ -578,10 +617,12 @@ def _pin_ids(pins):
     return ids
 
 
-@pytest.mark.parametrize("args, digest", REPORT_SHA256, ids=_pin_ids(REPORT_SHA256))
-def test_report_bytes_unchanged(args, digest):
+@pytest.mark.parametrize("args, digest, code",
+                         [(*pin, 0) for pin in REPORT_SHA256] + [(*pin, 1) for pin in FAILED_CHECK_SHA256],
+                         ids=_pin_ids(REPORT_SHA256 + FAILED_CHECK_SHA256))
+def test_report_bytes_unchanged(args, digest, code):
     res = run(*args)
-    assert res.exit_code == 0
+    assert res.exit_code == code
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 

@@ -331,7 +331,7 @@ def test_euler_zeta_sum_matches_the_fraction_merge():
     # the exact-rational benchmark's size
     n_max = 2 * 10**4
     want = fraction_merge(Fraction(1, n**2) for n in range(1, n_max + 1))
-    assert euler_zeta_check(2, n_max, 2000).sum_value == want
+    assert euler_zeta_check(2, n_max, 2000).rhs == want
 
 
 def test_truncated_sum_matches_the_grouped_sum_at_benchmark_size():
@@ -425,12 +425,12 @@ def test_truncated_product_matches_the_folded_product_at_criterion_02_size():
 
 def test_euler_zeta_exact_partial_sum():
     check = euler_zeta_check(2, 10, 10)
-    assert check.sum_value == Fraction(1968329, 1270080)
+    assert check.rhs == Fraction(1968329, 1270080)
 
 
 def test_euler_zeta_empty_product():
     check = euler_zeta_check(2, 5, 1)
-    assert check.product_value == 1
+    assert check.lhs == 1
 
 
 def test_euler_zeta_gap_shrinks():

@@ -6,7 +6,6 @@ import pytest
 from arithmos.classify import ArithFnHandle
 from arithmos.cli import ROOT_SCAN_DEGREE_CEILING
 from arithmos.functions import make_handle
-from arithmos.powerseries import TruncatedSeries
 from arithmos.probnum import (
     SCAN_HI,
     SCAN_LO,
@@ -15,9 +14,7 @@ from arithmos.probnum import (
     build_polynomial,
     eval_at_one,
     moment,
-    moment_function_eval,
     normalize,
-    normalize_summable_series,
     polynomial_eval,
     shifted_sign_scan,
 )
@@ -136,46 +133,10 @@ def test_moments_of_bernoulli_like_pmf(omega):
         moment(pmf, 0)
 
 
-def test_moment_function_values(omega):
-    pmf = normalize(build_polynomial(omega, 3))
-    assert moment_function_eval(pmf, 1) == 1
-    assert moment_function_eval(pmf, Fraction(1, 3)) == Fraction(2, 3)
-
-
-def test_moment_function_at_zero_isolates_mass_at_zero(omega):
-    pmf = normalize(build_polynomial(omega, 100))
-    assert moment_function_eval(pmf, 0) == Fraction(2, 101)
-
-
-def test_moment_function_total_probability(omega, bigomega):
-    for handle in (omega, bigomega):
-        pmf = normalize(build_polynomial(handle, 321))
-        assert moment_function_eval(pmf, 1) == 1
-
-
 def test_empirical_mean_grows(omega):
     m1 = moment(normalize(build_polynomial(omega, 100)), 1)
     m2 = moment(normalize(build_polynomial(omega, 1000)), 1)
     assert m2 > m1
-
-
-# --- normalizing plain series -----------------------------------------------------
-
-def test_normalize_series_simple():
-    pmf = normalize_summable_series(TruncatedSeries.from_coeffs([1, 1]))
-    assert pmf.support == ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
-
-
-def test_normalize_series_weighted():
-    pmf = normalize_summable_series(TruncatedSeries.from_coeffs([2, 0, 6]))
-    assert pmf.support == ((0, Fraction(1, 4)), (2, Fraction(3, 4)))
-
-
-def test_normalize_series_rejects_negative_and_zero():
-    with pytest.raises(ValueError):
-        normalize_summable_series(TruncatedSeries.from_coeffs([1, -1]))
-    with pytest.raises(ValueError):
-        normalize_summable_series(TruncatedSeries.zero(3))
 
 
 # --- real-root evidence scan -------------------------------------------------------

@@ -1,5 +1,5 @@
-"""README's code and export list against the package: the tour runs, and the list is the
-package's import list."""
+"""README's code and lists against the package: the tour runs, the export list is the
+package's import list, and the record list is the package's NamedTuple classes."""
 
 import ast
 import re
@@ -33,3 +33,21 @@ def test_export_list_matches_the_package_imports():
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
     assert listed == imported
+
+
+def test_record_list_matches_the_named_tuples():
+    # cli.FlatRows is a rendering helper of the CLI, not a result record
+    section = README.split("## Result records", 1)[1]
+    listed_text = section.split("`typing.NamedTuple`:", 1)[1].split(".", 1)[0]
+    listed = set(re.findall(r"`(\w+)`", listed_text))
+
+    defined = set()
+    for path in (ROOT / "src" / "arithmos").glob("*.py"):
+        if path.name == "cli.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases
+            ):
+                defined.add(node.name)
+    assert listed == defined
