@@ -333,7 +333,7 @@ def _gap_section(check: NumericCheck, gap_tol: str | None, tol: Fraction | None,
 @click.option("--order", type=click.IntRange(1, RANGE_CEILING), default=1000, show_default=True,
               help="Series order for partition-product.")
 @click.option("--s", type=click.IntRange(min=2), default=2, show_default=True, help="Exponent for euler-product.")
-@click.option("--prime-bound", type=click.IntRange(max=RANGE_CEILING), default=10000, show_default=True)
+@click.option("--prime-bound", type=click.IntRange(1, RANGE_CEILING), default=10000, show_default=True)
 @click.option("--exp-bound", type=click.IntRange(1, RANGE_CEILING), default=16, show_default=True)
 @click.option("--x", default=None, help='Rational like "1/2"; enables the numeric product-vs-sum check.')
 @click.option("--k", type=click.IntRange(min=2), default=None,
@@ -414,7 +414,7 @@ def classify_cmd(fn: str, t: int | None, bound: int, decomposable: str | None, o
 
 
 @cli.command()
-@click.option("--s", type=int, required=True, help="Even power >= 2.")
+@click.option("--s", type=click.IntRange(min=2), required=True, help="Even power >= 2.")
 @click.option("--t", type=click.IntRange(min=1), default=None, help="Number of summands for the count table.")
 @click.option("--order", type=click.IntRange(0, RANGE_CEILING), required=True,
               help="Highest index in the count table.")
@@ -427,7 +427,7 @@ def classify_cmd(fn: str, t: int | None, bound: int, decomposable: str | None, o
 def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
            lemma_g: tuple[int, int] | None, format: str, out: str | None) -> None:
     """Representation-count tables for sums of s-th powers, with cross-checks."""
-    if s < 2 or s % 2:
+    if s % 2:
         raise click.UsageError(f"odd power s={s} is unsupported; use an even s >= 2")
     if t is None and lemma_g is None:
         raise click.UsageError("provide --t for a count table and/or --lemma-g T R")

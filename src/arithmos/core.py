@@ -7,8 +7,10 @@ The module owns one sieve and the list of its primes, grown together by
 :func:`build_sieve` to the largest range asked for; every function that
 needs either asks for its range.
 :func:`prime_power_table` tabulates a function from its prime-power values
-without factorizing; :func:`factorize`, the per-n route, walks the sieve
-inside it and trial-divides beyond it (for instance large prime powers).
+without factorizing, and :func:`largest_prime_factor_order` orders ``2..N``
+by largest prime factor, both from the prime list; :func:`factorize`, the
+per-n route, walks the sieve inside it and trial-divides beyond it (for
+instance large prime powers).
 A factorization is the plain tuple of its ``(prime, exponent)`` pairs,
 :data:`Factors`, which the per-n functions such as :func:`euler_totient` read.
 """
@@ -16,7 +18,8 @@ A factorization is the plain tuple of its ``(prime, exponent)`` pairs,
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress
+from collections.abc import Iterable, Iterator
+from itertools import chain, compress
 from math import isqrt
 from operator import add, mul, not_
 from typing import Callable
@@ -74,6 +77,35 @@ def primes_upto(limit: int) -> list[int]:
         build_sieve(limit)
     primes = _prime_list[1]
     return primes[:bisect_right(primes, limit)]
+
+
+def largest_prime_factor_order(limit: int) -> Iterator[int]:
+    """``2..limit`` grouped by the largest prime factor P+(n), largest P+ first,
+    increasing n within a group.
+
+    A ``bytearray`` over ``0..limit`` marks the n that no larger prime has
+    claimed yet. Walking the primes down, the group of p is its free multiples,
+    taken by ``compress`` at C speed; then p claims all its multiples. Above
+    ``isqrt(limit)`` every multiple of p has P+ = p, so the group is the whole
+    range, and above ``limit // 2`` it is p alone and claims nothing that a
+    smaller prime reads. No n gets an int object or a list slot: beside the
+    prime list, the order costs about two bytes per n.
+    """
+    primes = primes_upto(limit)
+    half = bisect_right(primes, limit // 2)
+    root = isqrt(limit)
+    free = bytearray(b"\x01") * (limit + 1)
+    zeros = memoryview(bytes(limit // 2))
+
+    def groups() -> Iterator[Iterable[int]]:
+        yield reversed(primes[half:])
+        for p in reversed(primes[:half]):
+            multiples = range(p, limit + 1, p)
+            # the slice of the mask is a copy, so the claim below cannot change this group
+            yield multiples if p > root else compress(multiples, free[p::p])
+            free[p::p] = zeros[:limit // p]
+
+    return chain.from_iterable(groups())
 
 
 def factorize(n: int) -> Factors:

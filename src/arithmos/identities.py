@@ -26,13 +26,13 @@ alongside as self-contained oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from math import gcd, isqrt
 from operator import add, mul, ne
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .classify import ArithFnHandle, evaluate_range
-from .core import partition_count, prime_power_table, primes_upto
+from .core import largest_prime_factor_order, partition_count, prime_power_table, primes_upto
 from .powerseries import Rational, TruncatedSeries, as_rational
 
 
@@ -213,6 +213,11 @@ def truncated_product_eval(
     return Fraction(nums[0], dens[0]) if nums else Fraction(1)
 
 
+def _sum_order(n_max: int) -> Iterator[int]:
+    """1, then ``2..n_max`` in :func:`~arithmos.core.largest_prime_factor_order`."""
+    return chain((1,), largest_prime_factor_order(n_max))
+
+
 def truncated_sum_eval(
     spec: LocalFactorSpec,
     x: Rational,
@@ -225,7 +230,10 @@ def truncated_sum_eval(
     term of n is the int pair (alpha(n) u, n^k v), a ``Fraction`` alpha(n)
     giving its numerator and denominator; the 1 is the term of n = 1, where
     alpha = 1 and beta = 0. A negative b puts the power of x's numerator in
-    v, so x = 0 then raises ``ZeroDivisionError``.
+    v, so x = 0 then raises ``ZeroDivisionError``. The terms after n = 1 come
+    in :func:`~arithmos.core.largest_prime_factor_order`: neighbours share
+    the power p^k of their largest prime, so the merge's low-level lcms stay
+    small. The pair lists are built in that order, never permuted copies.
     """
     if k < 2:
         raise ValueError(f"k must be an integer >= 2 for convergent truncations, got {k}")
@@ -234,8 +242,8 @@ def truncated_sum_eval(
     xf = Fraction(as_rational(x))
     alpha, beta = spec_table(spec, n_max)
     powers = {b: (xb.numerator, xb.denominator) for b, xb in ((b, xf**b) for b in set(beta))}
-    nums = [alpha[n].numerator * powers[beta[n]][0] for n in range(1, n_max + 1)]
-    dens = [alpha[n].denominator * n**k * powers[beta[n]][1] for n in range(1, n_max + 1)]
+    nums = [alpha[n].numerator * powers[beta[n]][0] for n in _sum_order(n_max)]
+    dens = [alpha[n].denominator * n**k * powers[beta[n]][1] for n in _sum_order(n_max)]
     del alpha, beta, powers
     return exact_sum(nums, dens)
 
@@ -260,13 +268,14 @@ def euler_zeta_check(s: int, n_max: int, prime_bound: int) -> NumericCheck:
 
     The product side (lhs) multiplies the closed-form geometric factors
     p^s / (p^s - 1) over p <= prime_bound; the sum side (rhs) is
-    sum_{n=1..n_max} n^-s. The gap shrinks as both bounds grow.
+    sum_{n=1..n_max} n^-s, one :func:`exact_sum` with its terms in the order
+    of :func:`truncated_sum_eval`. The gap shrinks as both bounds grow.
     """
     if s < 2:
         raise ValueError(f"s must be an integer >= 2, got {s}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    rhs = exact_sum([1] * n_max, [n**s for n in range(1, n_max + 1)])
+    rhs = exact_sum([1] * n_max, [n**s for n in _sum_order(n_max)])
     num = 1
     den = 1
     for p in primes_upto(prime_bound):

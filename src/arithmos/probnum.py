@@ -25,7 +25,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .classify import ArithFnHandle, evaluate_range
-from .powerseries import Rational, as_rational, format_rational
+from .powerseries import format_rational
 
 
 class ArithPolynomial(NamedTuple):
@@ -74,15 +74,6 @@ def build_polynomial(beta: ArithFnHandle, M: int) -> ArithPolynomial:
 def eval_at_one(p: ArithPolynomial) -> int:
     """1 + sum of counts; always equals M + 1."""
     return 1 + sum(t for _, t in p.terms)
-
-
-def polynomial_eval(p: ArithPolynomial, x: Rational) -> Rational:
-    """Exact value of 1 + sum t_j x^(s_j) at a rational x."""
-    xf = Fraction(as_rational(x))
-    total = Fraction(1)
-    for s, t in p.terms:
-        total += t * xf**s
-    return total.numerator if total.denominator == 1 else total
 
 
 def normalize(p: ArithPolynomial) -> Pmf:

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -200,6 +203,11 @@ def test_verify_unread_flag_rejected(monkeypatch, tmp_path, identity, flag, valu
     # out of range also where the identity does not read the flag
     (("verify", "--identity", "partition-product", "--nmax", "0"), "--nmax"),
     (("verify", "--identity", "lemma-a", "--order", "0"), "--order"),
+    # not the parity rule's message, and no empty product reported as a truncation
+    (("waring", "--s", "0", "--t", "2", "--order", "10"), "--s"),
+    (("waring", "--s", "-2", "--t", "2", "--order", "10"), "--s"),
+    (("verify", "--identity", "euler-product", "--nmax", "10", "--prime-bound", "-5"), "--prime-bound"),
+    (("verify", "--identity", "lemma-a", "--nmax", "10", "--x", "1/2", "--prime-bound", "0"), "--prime-bound"),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
 def test_value_below_its_flag_range_rejected(monkeypatch, args, flag):
     for name in ("verify_per_term", "numeric_identity_check", "euler_zeta_check", "partition_product_check",
@@ -689,3 +697,49 @@ def test_long_report_reaches_the_writer_in_small_chunks(monkeypatch, fmt):
     assert res.exit_code == 0
     assert sum(sizes) == len(res.stdout) > 10**6
     assert max(sizes) <= 10**5
+
+
+# --- extension modules ---------------------------------------------------------------
+
+#: Every lib-dynload extension module that a small `verify --x` or `euler-product` job loaded
+#: when this list was made, interpreter start-up included. A new one maps another shared
+#: object into every CLI process: `import array` alone raised a verify job's peak RSS by 0.15-0.4 MB.
+EXTENSION_MODULES = frozenset([
+    "_bisect", "_bz2", "_datetime", "_decimal", "_json", "_lzma", "_opcode", "_random", "_sha512", "_struct",
+    "_typing", "_uuid", "binascii", "math", "zlib",
+])
+
+# Runs the CLI through cli.main in a fresh interpreter and writes to stderr the names of the
+# lib-dynload modules loaded after start-up; stdout keeps the report.
+EXTENSION_PROBE = """\
+import os, sys, sysconfig
+dynload = os.path.join(sysconfig.get_path("platstdlib"), "lib-dynload") + os.sep
+def loaded():
+    return {name for name, module in list(sys.modules.items())
+            if (getattr(module, "__file__", None) or "").startswith(dynload)}
+start = loaded()
+from arithmos import cli
+code = 0
+try:
+    cli.main()
+except SystemExit as done:
+    code = done.code
+sys.stderr.write(" ".join(sorted(loaded() - start)) + "\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--identity", "lemma-a", "--nmax", "300", "--x", "5/8", "--prime-bound", "50", "--exp-bound", "4"),
+    ("verify", "--identity", "euler-product", "--s", "2", "--nmax", "300", "--prime-bound", "50"),
+], ids=["lemma-x", "euler-product"])
+def test_jobs_load_no_new_extension_module(args):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", EXTENSION_PROBE, *args], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["body"]["all_passed"] is True
+    loaded = set(done.stderr.split())
+    assert loaded, "the probe saw no extension module loaded after start-up"
+    assert loaded <= EXTENSION_MODULES, f"new extension modules: {sorted(loaded - EXTENSION_MODULES)}"

@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import bisect_right
 from functools import lru_cache, partial
 from math import gcd, isqrt
@@ -14,6 +15,7 @@ from arithmos.core import (
     euler_totient,
     exponent_power_sum,
     factorize,
+    largest_prime_factor_order,
     partition_count,
     prime_count_upto,
     primes_upto,
@@ -265,6 +267,33 @@ def test_primes_upto_helper(sieve10k):
     assert primes_upto(10) == [2, 3, 5, 7]
 
 
+def test_largest_prime_factor_order_at_every_limit(sieve10k):
+    # P+(n) from factorize; the sort key does not depend on the limit, so each limit's order is
+    # the full order with the n above the limit left out
+    top = 2000
+    largest = {n: factorize(n)[-1][0] for n in range(2, top + 1)}
+    want = sorted(largest, key=lambda n: (-largest[n], n))
+    for limit in range(top + 1):
+        assert list(largest_prime_factor_order(limit)) == [n for n in want if n <= limit], limit
+    got = list(largest_prime_factor_order(top))
+    assert sorted(got) == list(range(2, top + 1))
+    for m, n in zip(got, got[1:]):
+        assert largest[m] > largest[n] or (largest[m] == largest[n] and m < n), (m, n)
+    assert got[:3] == [1999, 1997, 1993] and got[-10:] == [2**a for a in range(1, 11)]
+
+
+def test_largest_prime_factor_order_holds_no_list_of_n(sieve100k):
+    # a list of the n, or a table with a slot per n, would take at least 8 bytes per n
+    limit = 10**5
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in largest_prime_factor_order(limit)) == limit - 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * limit
+
+
 # --- partition counts --------------------------------------------------------
 
 def test_partition_base_cases():
@@ -354,6 +383,7 @@ def test_results_do_not_depend_on_the_shared_sieve(monkeypatch):
         "factorize": lambda: [factorize(n) for n in range(1, top + 1)],
         "factorize beyond": lambda: [factorize(n) for n in big],
         "primes_upto": partial(primes_upto, top),
+        "largest_prime_factor_order": lambda: list(largest_prime_factor_order(top)),
         "prime_count_upto": partial(prime_count_upto, top),
         "sigma_2 eval": lambda: [make_handle("sigma", t=2).eval(n) for n in range(1, top + 1)],
         "pi eval": lambda: [make_handle("pi").eval(n) for n in (1, 2, 50, 51, top, 4999, 5000, 5001)],

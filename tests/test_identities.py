@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from arithmos.classify import ArithFnHandle, evaluate_range
 from arithmos.cli import PARTITION_CEILING
-from arithmos.core import factorize, partition_count, prime_power_table, primes_upto
+from arithmos.core import factorize, largest_prime_factor_order, partition_count, prime_power_table, primes_upto
 from arithmos.functions import constant_one, make_handle
 from arithmos.identities import (
     IdentityCheckReport,
@@ -375,6 +375,54 @@ def test_truncated_sum_matches_the_grouped_sum_with_negative_kappa():
             grouped_sum(spec, 0, 2, n_max)
         with pytest.raises(ZeroDivisionError):
             truncated_sum_eval(spec, 0, 2, n_max)
+
+
+def test_truncated_sum_matches_the_grouped_sum_at_lemma_a_benchmark_size():
+    spec = builtin_spec("lemma-a")
+    x = Fraction(5, 8)
+    assert truncated_sum_eval(spec, x, 2, 3 * 10**4) == grouped_sum(spec, x, 2, 3 * 10**4)
+
+
+def test_sums_pass_their_terms_in_largest_prime_factor_order(monkeypatch):
+    calls = []
+    monkeypatch.setattr("arithmos.identities.exact_sum",
+                        lambda nums, dens: calls.append((list(nums), list(dens))) or Fraction(0))
+    order = [1, *largest_prime_factor_order(500)]
+    truncated_sum_eval(builtin_spec("lemma-a"), 1, 3, 500)
+    euler_zeta_check(2, 500, 10)
+    assert calls == [([1] * 500, [n**3 for n in order]), ([1] * 500, [n**2 for n in order])]
+
+
+# Drawn local data: theta a Fraction of either sign, 0 at some prime powers, and kappa an int
+# that is negative for some draws, so that x^beta(n) puts a power of x's numerator below the line.
+drawn_specs = st.builds(
+    lambda u, v, w, r, m, low: LocalFactorSpec(
+        "drawn",
+        lambda p, a: Fraction((u + v * a) * (-1) ** (p + a), p + w),
+        lambda p, a: (r * p + a) % m + low,
+    ),
+    st.integers(-4, 4), st.integers(-3, 3), st.integers(1, 6), st.integers(0, 5), st.integers(1, 4),
+    st.integers(-3, 1),
+)
+nonzero_x = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_specs, nonzero_x, st.integers(2, 3), st.integers(1, 400))
+def test_ordered_sum_matches_both_oracles_on_drawn_specs(spec, x, k, n_max):
+    got = truncated_sum_eval(spec, x, k, n_max)
+    assert got == grouped_sum(spec, x, k, n_max)
+    alpha, beta = spec_table(spec, n_max)
+    assert got == fraction_merge(Fraction(alpha[n]) * x ** beta[n] / n**k for n in range(1, n_max + 1))
+    if min(beta) < 0:
+        with pytest.raises(ZeroDivisionError):
+            truncated_sum_eval(spec, 0, k, n_max)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(1, 600))
+def test_euler_zeta_sum_matches_the_fraction_merge_on_drawn_sizes(s, n_max):
+    assert euler_zeta_check(s, n_max, 10).rhs == fraction_merge(Fraction(1, n**s) for n in range(1, n_max + 1))
 
 
 def folded_product(spec, x, k, prime_bound, exp_bound):

@@ -6,6 +6,7 @@ import pytest
 from arithmos.classify import ArithFnHandle
 from arithmos.cli import ROOT_SCAN_DEGREE_CEILING
 from arithmos.functions import make_handle
+from arithmos.powerseries import as_rational
 from arithmos.probnum import (
     SCAN_HI,
     SCAN_LO,
@@ -15,7 +16,6 @@ from arithmos.probnum import (
     eval_at_one,
     moment,
     normalize,
-    polynomial_eval,
     shifted_sign_scan,
 )
 
@@ -87,6 +87,15 @@ def test_counts_cover_range(omega, bigomega):
             assert sum(t for _, t in poly.terms) == m
             assert eval_at_one(poly) == m + 1
             assert [s for s, _ in poly.terms] == sorted({s for s, _ in poly.terms})
+
+
+def polynomial_eval(p, x):
+    """Exact value of 1 + sum t_j x^(s_j) at a rational x: the oracle of :func:`fraction_sign_scan`."""
+    xf = Fraction(as_rational(x))
+    total = Fraction(1)
+    for s, t in p.terms:
+        total += t * xf**s
+    return total.numerator if total.denominator == 1 else total
 
 
 def test_polynomial_eval(omega):
