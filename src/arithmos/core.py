@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from math import isqrt
 from operator import add, mul, not_
 from typing import Callable
@@ -88,18 +88,20 @@ def largest_prime_factor_order(limit: int) -> Iterator[int]:
     taken by ``compress`` at C speed; then p claims all its multiples. Above
     ``isqrt(limit)`` every multiple of p has P+ = p, so the group is the whole
     range, and above ``limit // 2`` it is p alone and claims nothing that a
-    smaller prime reads. No n gets an int object or a list slot: beside the
-    prime list, the order costs about two bytes per n.
+    smaller prime reads. No n gets an int object or a list slot, and the prime
+    list is walked without a copy: beside it, the order costs about two bytes
+    per n.
     """
     primes = primes_upto(limit)
-    half = bisect_right(primes, limit // 2)
+    singles = len(primes) - bisect_right(primes, limit // 2)
     root = isqrt(limit)
     free = bytearray(b"\x01") * (limit + 1)
     zeros = memoryview(bytes(limit // 2))
 
     def groups() -> Iterator[Iterable[int]]:
-        yield reversed(primes[half:])
-        for p in reversed(primes[:half]):
+        down = reversed(primes)
+        yield islice(down, singles)  # chain takes all of it before the loop goes on with down
+        for p in down:
             multiples = range(p, limit + 1, p)
             # the slice of the mask is a copy, so the claim below cannot change this group
             yield multiples if p > root else compress(multiples, free[p::p])
