@@ -88,9 +88,8 @@ def largest_prime_factor_order(limit: int) -> Iterator[int]:
     taken by ``compress`` at C speed; then p claims all its multiples. Above
     ``isqrt(limit)`` every multiple of p has P+ = p, so the group is the whole
     range, and above ``limit // 2`` it is p alone and claims nothing that a
-    smaller prime reads. No n gets an int object or a list slot, and the prime
-    list is walked without a copy: beside it, the order costs about two bytes
-    per n.
+    smaller prime reads. No n gets an int object or a list slot: beside the
+    prime list, the order costs about two bytes per n.
     """
     primes = primes_upto(limit)
     singles = len(primes) - bisect_right(primes, limit // 2)

@@ -268,18 +268,14 @@ def test_primes_upto_helper(sieve10k):
 
 
 def test_largest_prime_factor_order_at_every_limit(sieve10k):
-    # P+(n) from factorize; the sort key does not depend on the limit, so each limit's order is
-    # the full order with the n above the limit left out
+    # the spec: 2..limit sorted by P+(n) descending, then by n, with P+ from factorize; the key
+    # does not depend on the limit, so each limit's order is the full one without the n above it
     top = 2000
     largest = {n: factorize(n)[-1][0] for n in range(2, top + 1)}
     want = sorted(largest, key=lambda n: (-largest[n], n))
+    assert want[:3] == [1999, 1997, 1993] and want[-10:] == [2**a for a in range(1, 11)]
     for limit in range(top + 1):
         assert list(largest_prime_factor_order(limit)) == [n for n in want if n <= limit], limit
-    got = list(largest_prime_factor_order(top))
-    assert sorted(got) == list(range(2, top + 1))
-    for m, n in zip(got, got[1:]):
-        assert largest[m] > largest[n] or (largest[m] == largest[n] and m < n), (m, n)
-    assert got[:3] == [1999, 1997, 1993] and got[-10:] == [2**a for a in range(1, 11)]
 
 
 def test_largest_prime_factor_order_holds_no_list_of_n(sieve100k):
