@@ -20,7 +20,8 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
+from math import inf, log
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -69,7 +70,9 @@ ROOT_SCAN_DEGREE_CEILING = 1000
 #: checked after the range checks: a sum over n <= nmax with exponent k (or s) has a
 #: denominator dividing lcm(1..nmax)^k, about e^(k*nmax); the lemma product side divides the
 #: product of p^(k*exp_bound) over p <= prime_bound, about e^(k*exp_bound*prime_bound); and
-#: the euler product side, about e^(s*prime_bound).
+#: the euler product side, about e^(s*prime_bound). With --x = u/v, the powers of x add their
+#: own terms, each checked alone: max beta(n) * L on the sum side and max kappa(p, a) *
+#: pi(prime_bound) * L on the product side, where L = ln max(|u|, v).
 DENOMINATOR_CEILING = 4 * 10**5
 
 #: Rows per chunk of a report's long arrays (CSV rows and FlatRows): the whole text of a
@@ -82,26 +85,34 @@ def _check_partition(value: int, flag: str, partition: bool = True) -> None:
         raise click.UsageError(f"{flag} must be <= {PARTITION_CEILING} (the partition ceiling), got {value}")
 
 
-def _check_denominator(flags: str, size: int) -> None:
+def _check_denominator(flags: str, size: float) -> None:
     if size > DENOMINATOR_CEILING:
-        raise click.UsageError(f"{flags} = {size} must be <= {DENOMINATOR_CEILING} (the denominator ceiling)")
+        shown = size if isinstance(size, int) else f"about {size:.3g}"
+        raise click.UsageError(f"{flags} = {shown} must be <= {DENOMINATOR_CEILING} (the denominator ceiling)")
 
 
-def _check_digits(fn: str, t: int | None, top: int, power: int) -> None:
-    """Refuse a report of ``fn`` over ``1..top`` whose integers could pass the interpreter's
-    int-to-str digit limit (0 means none).
+def _power(base: int, exponent: int) -> float:
+    """``base ** exponent`` as a float, inf where that overflows: an estimate that builds no huge int."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return inf
 
-    sigma_t(n) <= d(n)*n^t <= n^(t+1) and L_t(n) < n^t, so a value has at most
-    (t+1)*len(str(top)) digits. With ``power`` > 1 the report also holds moments up to that
-    power, whose numerators are at most (top+1)*value^power.
+
+def _check_digits(flags: str, exponent: int, base: int, power: int = 1, terms: int = 1) -> None:
+    """Refuse a run, before it computes them, whose integers could pass the interpreter's
+    int-to-str digit limit (0 means none); ``flags`` name the inputs in the message.
+
+    A value at most base^exponent has at most exponent*len(str(base)) digits, a product of
+    ``power`` such values ``power`` times as many, and a sum of ``terms`` such products
+    len(str(terms)) more. Over 1..N, sigma_t(n) <= d(n)*n^t <= n^(t+1) and L_t(n) < n^t, so
+    both take base N and exponent t+1.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
-    if fn not in ("sigma", "L") or t is None or not limit:
-        return
-    digits = power * (t + 1) * len(str(top)) + (len(str(top + 1)) if power > 1 else 0)
-    if digits > limit:
+    digits = power * exponent * len(str(base)) + (len(str(terms)) if terms > 1 else 0)
+    if limit and digits > limit:
         raise click.UsageError(
-            f"--t {t} over 1..{top} can give integers of {digits} digits, "
+            f"{flags} can give integers of {digits} digits, "
             f"more than the interpreter's limit of {limit} for printing them"
         )
 
@@ -161,57 +172,28 @@ def _json_rows(rows: FlatRows, pad: str) -> Iterator[str]:
     yield f"\n{pad}]" if opened else "[]"
 
 
-def render_json(doc) -> Iterator[str]:
-    """``json.dumps(doc, sort_keys=True, indent=2)`` as text chunks, where ``doc`` may hold
-    FlatRows in place of lists: the envelope goes through the encoder in one piece, and
-    each FlatRows is rendered batch by batch at the place and indent the encoder gives it."""
-    flat: list[FlatRows] = []
-    # each FlatRows becomes the string marker + its index in flat; the marker holds NULs
-    # (encoded as \u0000) and grows until no other string of the doc encodes as one of these
-    marker = "\0"
-
-    def mark(node):
-        if isinstance(node, FlatRows):
-            flat.append(node)
-            return f"{marker}{len(flat) - 1}"
-        if isinstance(node, dict):
-            return {key: mark(value) for key, value in node.items()}
-        if isinstance(node, (list, tuple)):
-            return [mark(value) for value in node]
-        return node
-
-    while True:
-        flat.clear()
-        text = json.dumps(mark(doc), sort_keys=True, indent=2)
-        tokens = [json.dumps(f"{marker}{i}") for i in range(len(flat))]
-        if all(text.count(token) == 1 for token in tokens):
-            break
-        marker += "\0"
-    start = 0
-    for at, token, rows in sorted((text.index(token), token, rows) for token, rows in zip(tokens, flat)):
-        yield text[start:at]
-        line = text[text.rfind("\n", 0, at) + 1:at]
-        yield from _json_rows(rows, line[: len(line) - len(line.lstrip(" "))])
-        start = at + len(token)
-    yield text[start:]
-
-
 def _structured(body: dict) -> Iterator[str]:
-    """The report of the running subcommand, as JSON text chunks; its parameters are the
-    invocation's, less ``out``."""
+    """The report of the running subcommand, as JSON text chunks: ``json.dumps({"body": body,
+    "header": header}, sort_keys=True, indent=2)`` and a newline, where a value of ``body`` may be
+    a FlatRows in place of a list. The header's parameters are the invocation's, less ``out``."""
     ctx = click.get_current_context()
-    doc = {
-        "header": {
-            "artifact": "arithmos",
-            "version": __version__,
-            "command": ctx.command.name,
-            "parameters": {
-                ("M" if name == "m" else name): value for name, value in ctx.params.items() if name != "out"
-            },
-        },
-        "body": body,
+    header = {
+        "artifact": "arithmos",
+        "version": __version__,
+        "command": ctx.command.name,
+        "parameters": {("M" if name == "m" else name): value for name, value in ctx.params.items() if name != "out"},
     }
-    return chain(render_json(doc), ("\n",))
+    # the envelope's two keys in sorted order, each body value at the indent the encoder gives it
+    yield '{\n  "body": {'
+    for i, key in enumerate(sorted(body)):
+        yield ("," if i else "") + f"\n    {json.dumps(key)}: "
+        value = body[key]
+        if isinstance(value, FlatRows):
+            yield from _json_rows(value, "    ")
+        else:
+            yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n    ")
+    yield ("\n  }" if body else "}") + ',\n  "header": '
+    yield json.dumps(header, sort_keys=True, indent=2).replace("\n", "\n  ") + "\n}\n"
 
 
 def _csv(header: tuple[str, ...], *columns: Iterable) -> Iterator[str]:
@@ -303,8 +285,9 @@ def cli(ctx: click.Context, config: str | None) -> None:
 def table(fn: str, t: int | None, nmax: int, format: str, out: str | None) -> None:
     """Write (n, f(n)) rows for n = 1..NMAX."""
     _check_partition(nmax, "--nmax", fn == "partition")
-    _check_digits(fn, t, nmax, 1)
     handle = _usage(make_handle, fn, t=t)
+    if t is not None:  # sigma_t or L_t
+        _check_digits(f"--t {t} over 1..{nmax}", t + 1, nmax)
     values = evaluate_range(handle, nmax)
     if format == "csv":
         report = _csv(("n", "value"), range(1, nmax + 1), islice(values, 1, None))
@@ -361,11 +344,24 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
         if nmax < 2:
             raise click.UsageError("--nmax must be >= 2")
         spec = _usage(builtin_spec, identity, t=t)
+        if t is not None:  # the sigma_t table of lemma-b or the L_t table of lemma-d
+            _check_digits(f"--t {t} over 1..{nmax}", t + 1, nmax)
         x_value = _parse_rational_opt(x, "--x")
         k_value = 2 if k is None else k
         if x_value is not None:
             _check_denominator("--k * --nmax", k_value * nmax)
             _check_denominator("--k * --exp-bound * --prime-bound", k_value * exp_bound * prime_bound)
+            # x^beta(n) in each term and x^kappa(p, a) in each factor: kappa = 1 and beta(n) = omega(n)
+            # <= floor(log2 nmax), except for lemma-d, where kappa(p, a) = a^t <= exp_bound^t and
+            # beta(n) = L_t(n) <= Omega(n)^t <= floor(log2 nmax)^t
+            lemma_d = identity == "lemma-d"
+            ln_x = log(max(abs(x_value.numerator), x_value.denominator))
+            # pi(P) < 1.25506 P / ln P for P > 1 (Rosser and Schoenfeld 1962), so no sieve is built
+            primes = 1.25506 * prime_bound / log(prime_bound) if prime_bound > 1 else 0
+            _check_denominator("floor(log2(--nmax))" + ("^--t" if lemma_d else "") + " * ln(--x)",
+                               _power(nmax.bit_length() - 1, t if lemma_d else 1) * ln_x)
+            _check_denominator(("--exp-bound^--t * " if lemma_d else "") + "pi(--prime-bound) * ln(--x)",
+                               (_power(exp_bound, t) if lemma_d else 1) * primes * ln_x)
         alpha_id, beta_id = LEMMA_DIRECT[identity]
         direct_alpha = constant_one() if alpha_id is None else make_handle(alpha_id, t=t)
         direct_beta = make_handle(beta_id, t=t if beta_id == "L" else None)
@@ -402,6 +398,8 @@ def classify_cmd(fn: str, t: int | None, bound: int, decomposable: str | None, o
     """Classify a function over 1..BOUND; the verdict lives in the report."""
     _check_partition(bound, "--bound", fn == "partition")
     handle = _usage(make_handle, fn, t=t)
+    if t is not None:  # sigma_t or L_t, whose laws compare products v[m]*v[n]
+        _check_digits(f"--t {t} over 1..{bound}", t + 1, bound, 2)
     if decomposable:
         # both checks read one table of f over 1..bound
         values = evaluate_range(handle, bound)
@@ -433,6 +431,12 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
         raise click.UsageError("provide --t for a count table and/or --lemma-g T R")
     if t is None and check_bruteforce is not None:
         raise click.UsageError("--check-bruteforce checks the count table; it needs --t")
+    # a count of the t-th power is at most theta_sum^t, theta_sum the sum of the series' coefficients
+    theta_sum = 1 + 2 * integer_root(order, s)
+    if t is not None:
+        _check_digits(f"--t {t} with --s {s} and --order {order}", t, theta_sum)
+    if lemma_g is not None:
+        _check_digits(f"--lemma-g {lemma_g[0]} {lemma_g[1]} with --s {s} and --order {order}", sum(lemma_g), theta_sum)
     if check_bruteforce is not None:
         top = min(check_bruteforce, order)
         base = integer_root(top, s) + 1
@@ -489,8 +493,9 @@ def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str
     _check_partition(m, "--M", beta == "partition")
     if roots and format == "csv":
         raise click.UsageError("--roots is reported in the structured format only, not with --format csv")
-    _check_digits(beta, t, m, 1 if format == "csv" else 4)
     handle = _usage(make_handle, beta, t=t)
+    if t is not None:  # sigma_t or L_t; the structured report holds moments, sums of M r-th powers, r <= 4
+        _check_digits(f"--t {t} over 1..{m}", t + 1, m, *((1, 1) if format == "csv" else (4, m + 1)))
     poly = build_polynomial(handle, m)
     pmf = normalize(poly)
     if format == "csv":

@@ -103,14 +103,6 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
 
 
-def _trusted(order: int, coeffs: tuple[Rational, ...]) -> TruncatedSeries:
-    """A series from coefficients already exact and collapsed, without revalidating each one."""
-    series = object.__new__(TruncatedSeries)
-    object.__setattr__(series, "order", order)
-    object.__setattr__(series, "coeffs", coeffs)
-    return series
-
-
 def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
@@ -211,8 +203,8 @@ def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         )
     den = den_a * den_b
     if den != 1:
-        coeffs = tuple([Fraction(c, den) if c % den else c // den for c in coeffs])
-    return _trusted(n, coeffs)
+        coeffs = [Fraction(c, den) if c % den else c // den for c in coeffs]
+    return TruncatedSeries(n, coeffs)
 
 
 def ps_pow(a: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -272,4 +264,4 @@ def ps_pow_recurrence(a: TruncatedSeries, k: int) -> TruncatedSeries:
     scale = den**k
     if scale != 1:
         g = [Fraction(c, scale) if c % scale else c // scale for c in g]
-    return _trusted(a.order, tuple(g))
+    return TruncatedSeries(a.order, g)

@@ -31,6 +31,8 @@ def integer_root(m: int, s: int) -> int:
         raise ValueError(f"need s >= 1, got {s}")
     if m < 2 or s == 1:
         return m
+    if s >= m.bit_length():  # 2^s > m
+        return 1
     x = 1 << ((m.bit_length() + s - 1) // s)
     while True:
         nxt = ((s - 1) * x + m // x ** (s - 1)) // s
@@ -56,10 +58,8 @@ def generalized_theta(s: int, order: int) -> TruncatedSeries:
         raise ValueError(f"order must be >= 0, got {order}")
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
-    n = 1
-    while n**s <= order:
+    for n in range(1, integer_root(order, s) + 1):
         coeffs[n**s] = 2
-        n += 1
     return TruncatedSeries(order, tuple(coeffs))
 
 

@@ -4,15 +4,18 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithmos import __version__
 from arithmos import cli as cli_module
 from arithmos.cli import (
     DENOMINATOR_CEILING,
@@ -21,7 +24,6 @@ from arithmos.cli import (
     ROOT_SCAN_DEGREE_CEILING,
     FlatRows,
     cli,
-    render_json,
 )
 from arithmos.waring import integer_root, verify_lemma_g
 
@@ -531,6 +533,50 @@ def test_denominator_above_its_ceiling_rejected(args, flags):
     assert f"{flags} = {2 * refused} must be <= {DENOMINATOR_CEILING} (the denominator ceiling)" in res.output
 
 
+# inputs that ran for seconds to minutes before the guards counted their power parameters, and
+# the flags that each refusal names; a guard that did the work before refusing would pass 1 s
+SLOW_INPUTS = [
+    (("verify", "--identity", "lemma-d", "--x", "1/2", "--nmax", "100", "--prime-bound", "10",
+      "--exp-bound", "4", "--t", "9"), ("--nmax", "--t", "--x")),
+    (("verify", "--identity", "lemma-d", "--x", "1/2", "--nmax", "100", "--prime-bound", "10",
+      "--exp-bound", "4", "--t", "10"), ("--nmax", "--t", "--x")),
+    (("verify", "--identity", "lemma-d", "--x", "1/2", "--t", "3"), ("--exp-bound", "--t", "--prime-bound", "--x")),
+    (("verify", "--identity", "lemma-a", "--x", f"1/{3**1500}", "--nmax", "2000", "--exp-bound", "4"),
+     ("--prime-bound", "--x")),
+    (("classify", "--fn", "sigma", "--t", "20000", "--bound", "2000"), ("--t",)),
+    (("waring", "--s", "2", "--t", "10000000", "--order", "1000"), ("--s", "--t", "--order")),
+    (("waring", "--s", "2", "--lemma-g", "5000000", "5000000", "--order", "1000"), ("--s", "--lemma-g", "--order")),
+]
+
+
+@pytest.mark.parametrize("args, flags", SLOW_INPUTS,
+                         ids=["lemma-d-t9", "lemma-d-t10", "lemma-d-t3-defaults", "lemma-a-large-x", "classify-sigma",
+                              "waring-t", "waring-lemma-g"])
+def test_slow_inputs_refused_fast(args, flags):
+    start = time.perf_counter()
+    res = run(*args)
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == 2
+    message = res.output.splitlines()[-1]
+    assert message.startswith("Error: ") and all(flag in message for flag in flags), message
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--identity", "lemma-d", "--x", "1/2", "--t", "2"),
+    ("verify", "--identity", "lemma-d", "--x", "1/2", "--nmax", "100", "--prime-bound", "10", "--exp-bound", "4",
+     "--t", "6"),
+], ids=["defaults-t2", "small-t6"])
+def test_lemma_d_below_the_estimates_admitted(monkeypatch, args):
+    # the run stops where its work would start, so exit 1 with this error means every guard passed
+    def stop(*_):
+        raise RuntimeError("admitted")
+
+    monkeypatch.setattr(cli_module, "verify_per_term", stop)
+    res = run(*args)
+    assert res.exit_code == 1
+    assert "error: admitted" in res.output
+
+
 @pytest.mark.parametrize("args", [
     ("table", "--fn", "partition", "--nmax"),
     ("classify", "--fn", "partition", "--bound"),
@@ -636,7 +682,7 @@ def test_report_bytes_unchanged(args, digest, code):
 
 # --- report rendering ----------------------------------------------------------------------
 
-# strings the encoder escapes, and NUL-digit strings like the renderer's own placeholders
+# strings the encoder escapes, and NUL-digit strings
 ODD_TEXT = st.sampled_from(["\x000", "\x001", "\x00\x000", 'a"b', "\\", "\u00e9", "\x7f", "\n"])
 # cells of one column: plain ints (negative too), digit strings, any text, or a mix with
 # bools, floats and None
@@ -646,7 +692,12 @@ COLUMN_KINDS = [
     st.text(max_size=4) | ODD_TEXT,
     st.one_of(st.integers(-9, 9), st.text(max_size=2), st.booleans(), st.floats(allow_nan=False), st.none()),
 ]
-SCALARS = st.one_of(st.integers(-10**6, 10**6), st.text(max_size=4), ODD_TEXT, st.booleans(), st.none())
+SCALARS = st.one_of(st.integers(-10**6, 10**6), st.text(max_size=4), ODD_TEXT, st.booleans(),
+                    st.floats(allow_nan=False), st.none())
+KEYS = st.text(max_size=3) | ODD_TEXT
+# plain values at any depth: scalars, and lists and dicts of them, empty ones too
+PLAIN = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+                     max_leaves=8)
 
 
 @st.composite
@@ -660,32 +711,29 @@ def flat_arrays(draw):
 
 
 @st.composite
-def report_docs(draw, depth=2):
-    """A dict with scalars and flat arrays, and below it dicts and lists holding more of them."""
-    doc, plain = {}, {}
-    for key in draw(st.lists(st.text(max_size=3) | ODD_TEXT, unique=True, max_size=4)):
-        kinds = ["scalar", "flat"] + (["dict", "list"] if depth > 1 else [])
-        kind = draw(st.sampled_from(kinds))
-        if kind == "scalar":
-            doc[key] = plain[key] = draw(SCALARS)
-        elif kind == "flat":
-            doc[key], plain[key] = draw(flat_arrays())
-        elif kind == "dict":
-            doc[key], plain[key] = draw(report_docs(depth - 1))
+def report_bodies(draw):
+    """A report body, whose values are flat arrays or plain values, and the dict it stands for."""
+    body, plain = {}, {}
+    for key in draw(st.lists(KEYS, unique=True, max_size=4)):
+        if draw(st.booleans()):
+            body[key], plain[key] = draw(flat_arrays())
         else:
-            item, item_plain = draw(flat_arrays())
-            value = draw(SCALARS)
-            doc[key], plain[key] = [value, item], [value, item_plain]
-    return doc, plain
+            body[key] = plain[key] = draw(PLAIN)
+    return body, plain
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(report_docs())
-def test_flat_rows_render_as_the_json_encoder_would(case):
-    # batches of 3 rows, so that one array mixes batches of the template and of the encoder
-    doc, plain = case
-    with patch.object(cli_module, "EMIT_BATCH", 3):
-        assert "".join(render_json(doc)) == json.dumps(plain, sort_keys=True, indent=2)
+@given(report_bodies(), st.dictionaries(st.sampled_from(["m", "out", "fn", "t"]), SCALARS))
+def test_flat_rows_render_as_the_json_encoder_would(case, params):
+    # the report of a table invocation with these parameters, in batches of 3 rows, so that
+    # one array mixes batches of the template and of the encoder
+    body, plain = case
+    header = {"artifact": "arithmos", "version": __version__, "command": "table",
+              "parameters": {("M" if name == "m" else name): value for name, value in params.items() if name != "out"}}
+    with click.Context(cli_module.table) as ctx, patch.object(cli_module, "EMIT_BATCH", 3):
+        ctx.params = dict(params)
+        text = "".join(cli_module._structured(body))
+    assert text == json.dumps({"header": header, "body": plain}, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "structured"])
