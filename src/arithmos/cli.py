@@ -103,13 +103,14 @@ def _check_digits(flags: str, exponent: int, base: int, power: int = 1, terms: i
     """Refuse a run, before it computes them, whose integers could pass the interpreter's
     int-to-str digit limit (0 means none); ``flags`` name the inputs in the message.
 
-    A value at most base^exponent has at most exponent*len(str(base)) digits, a product of
-    ``power`` such values ``power`` times as many, and a sum of ``terms`` such products
-    len(str(terms)) more. Over 1..N, sigma_t(n) <= d(n)*n^t <= n^(t+1) and L_t(n) < n^t, so
-    both take base N and exponent t+1.
+    A value at most base^exponent has at most exponent*len(str(base)) digits (one for base 1),
+    a product of ``power`` such values ``power`` times as many, and a sum of ``terms`` such
+    products len(str(terms)) more. Over 1..N, sigma_t(n) <= d(n)*n^t <= n^(t+1) and
+    L_t(n) < n^t, so both take base N and exponent t+1.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
-    digits = power * exponent * len(str(base)) + (len(str(terms)) if terms > 1 else 0)
+    value_digits = exponent * len(str(base)) if base > 1 else 1
+    digits = power * value_digits + (len(str(terms)) if terms > 1 else 0)
     if limit and digits > limit:
         raise click.UsageError(
             f"{flags} can give integers of {digits} digits, "
@@ -181,7 +182,9 @@ def _structured(body: dict) -> Iterator[str]:
         "artifact": "arithmos",
         "version": __version__,
         "command": ctx.command.name,
-        "parameters": {("M" if name == "m" else name): value for name, value in ctx.params.items() if name != "out"},
+        "parameters": {
+            ("M" if name == "m" else name): value for name, value in ctx.params.items() if name != "out"
+        },
     }
     # the envelope's two keys in sorted order, each body value at the indent the encoder gives it
     yield '{\n  "body": {'
@@ -436,7 +439,8 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
     if t is not None:
         _check_digits(f"--t {t} with --s {s} and --order {order}", t, theta_sum)
     if lemma_g is not None:
-        _check_digits(f"--lemma-g {lemma_g[0]} {lemma_g[1]} with --s {s} and --order {order}", sum(lemma_g), theta_sum)
+        _check_digits(f"--lemma-g {lemma_g[0]} {lemma_g[1]} with --s {s} and --order {order}",
+                      sum(lemma_g), theta_sum)
     if check_bruteforce is not None:
         top = min(check_bruteforce, order)
         base = integer_root(top, s) + 1

@@ -98,6 +98,16 @@ def test_table_values_inside_the_digit_limit_print():
     assert run("table", "--fn", "sigma", "--t", str(t + 1), "--nmax", "99").exit_code == 2
 
 
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no digit limit")
+@pytest.mark.parametrize("args", [("table", "--fn", "sigma", "--nmax", "1"), ("waring", "--s", "2", "--order", "0")],
+                         ids=["table", "waring"])
+def test_values_bounded_by_one_pass_the_digit_estimate(args):
+    # sigma_t(1) and the one count of order 0 are 1, whatever t is
+    res = run(*args, "--t", str(DIGIT_LIMIT + 1))
+    assert res.exit_code == 0
+    assert res.stdout.splitlines()[-1] in ("1,1", "0,1")
+
+
 # --- verify ----------------------------------------------------------------
 
 def test_verify_lemma_b():
