@@ -30,7 +30,8 @@ import click
 
 from . import __version__
 from .classify import classify as run_classification
-from .classify import evaluate_range, verify_decomposable
+from .classify import ArithFnHandle, evaluate_range, verify_decomposable
+from .core import LOCAL_FUNCTIONS, takes_t
 from .functions import FUNCTION_IDS, INTEGER_FUNCTION_IDS, constant_one, make_handle
 from .identities import (
     BUILTIN_SPEC_IDS,
@@ -80,8 +81,8 @@ DENOMINATOR_CEILING = 4 * 10**5
 EMIT_BATCH = 1024
 
 
-def _check_partition(value: int, flag: str, partition: bool = True) -> None:
-    if partition and value > PARTITION_CEILING:
+def _check_partition(value: int, flag: str) -> None:
+    if value > PARTITION_CEILING:
         raise click.UsageError(f"{flag} must be <= {PARTITION_CEILING} (the partition ceiling), got {value}")
 
 
@@ -124,6 +125,17 @@ def _usage(setup, *args, **kwargs):
         return setup(*args, **kwargs)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+def _handle(fn_id: str, t: int | None, flag: str, size: int, power: int = 1, terms: int = 1) -> ArithFnHandle:
+    """The handle of a function flag over 1..``size``, after the checks that refuse it (exit 2): the
+    partition ceiling on ``flag``, make_handle's, and with a t the digit estimate of sigma_t or L_t."""
+    if fn_id == "partition":
+        _check_partition(size, flag)
+    handle = _usage(make_handle, fn_id, t=t)
+    if t is not None:
+        _check_digits(f"--t {t} over 1..{size}", t + 1, size, power, terms)
+    return handle
 
 
 def _decimal(value: Fraction) -> str:
@@ -230,16 +242,26 @@ def _parse_rational_opt(raw: str | None, flag: str) -> Fraction | None:
         raise click.UsageError(f"{flag} must be a rational like 1/2: {exc}")
 
 
-def _normalize_config(raw: object) -> dict:
-    # config keys mirror flags; fold them onto click's derived parameter names
+def _normalize_config(raw: object, commands: dict[str, click.Command]) -> dict:
+    # config keys mirror flags; fold them onto click's derived parameter names, which must exist
     if not isinstance(raw, dict):
         raise ValueError("the top level must be a JSON object")
     out = {}
     for command, section in raw.items():
+        if command not in commands:
+            raise ValueError(f"section {command!r} names no subcommand")
         if not isinstance(section, dict):
             raise ValueError(f"section {command!r} must be a JSON object")
         out[command] = {key.replace("-", "_").lower(): val for key, val in section.items()}
+        unknown = sorted(out[command].keys() - {param.name for param in commands[command].params})
+        if unknown:
+            raise ValueError(f"section {command!r} names no parameter {unknown[0]!r}")
     return out
+
+
+#: The --t of the function flags of table, classify and probnum.
+_T_OPTION = click.option("--t", type=int, default=None,
+                         help=f"Power parameter ({'/'.join(filter(takes_t, LOCAL_FUNCTIONS))} only).")
 
 
 class _Runner(click.Command):
@@ -274,23 +296,20 @@ def cli(ctx: click.Context, config: str | None) -> None:
     if config:
         with open(config, encoding="utf-8") as fh:
             try:
-                ctx.default_map = _normalize_config(json.load(fh))
-            except ValueError as exc:  # JSON syntax, or a top level or section that is no object
+                ctx.default_map = _normalize_config(json.load(fh), ctx.command.commands)
+            except ValueError as exc:  # JSON syntax, or a section or key that is no object or names nothing
                 raise click.UsageError(f"bad config file {config}: {exc}")
 
 
 @cli.command()
 @click.option("--fn", required=True, type=click.Choice(INTEGER_FUNCTION_IDS), help="Function to tabulate.")
-@click.option("--t", type=int, default=None, help="Power parameter (sigma/L only).")
+@_T_OPTION
 @click.option("--nmax", type=click.IntRange(1, RANGE_CEILING), required=True, help="Tabulate n = 1..NMAX.")
 @click.option("--format", type=click.Choice(["csv", "structured"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Output file (default: stdout).")
 def table(fn: str, t: int | None, nmax: int, format: str, out: str | None) -> None:
     """Write (n, f(n)) rows for n = 1..NMAX."""
-    _check_partition(nmax, "--nmax", fn == "partition")
-    handle = _usage(make_handle, fn, t=t)
-    if t is not None:  # sigma_t or L_t
-        _check_digits(f"--t {t} over 1..{nmax}", t + 1, nmax)
+    handle = _handle(fn, t, "--nmax", nmax)
     values = evaluate_range(handle, nmax)
     if format == "csv":
         report = _csv(("n", "value"), range(1, nmax + 1), islice(values, 1, None))
@@ -341,14 +360,18 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
             unless = " without --x" if lemma else ""
             raise click.UsageError(f"{flag} is not read by --identity {identity}{unless}")
     gap_tol_value = _parse_rational_opt(gap_tol, "--gap-tol")
+    if gap_tol_value is not None and gap_tol_value < 0:  # no gap is below 0: every check would fail
+        raise click.BadParameter(f"{gap_tol} is not in the range x>=0.", param_hint="'--gap-tol'")
     body: dict = {}
 
     if lemma:
         if nmax < 2:
             raise click.UsageError("--nmax must be >= 2")
         spec = _usage(builtin_spec, identity, t=t)
-        if t is not None:  # the sigma_t table of lemma-b or the L_t table of lemma-d
-            _check_digits(f"--t {t} over 1..{nmax}", t + 1, nmax)
+        # the spec's t is that of the direct function that takes one: sigma_t of lemma-b, L_t of lemma-d
+        direct_alpha, direct_beta = (
+            constant_one() if fn_id is None else _handle(fn_id, t if takes_t(fn_id) else None, "--nmax", nmax)
+            for fn_id in LEMMA_DIRECT[identity])
         x_value = _parse_rational_opt(x, "--x")
         k_value = 2 if k is None else k
         if x_value is not None:
@@ -365,9 +388,6 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
                                _power(nmax.bit_length() - 1, t if lemma_d else 1) * ln_x)
             _check_denominator(("--exp-bound^--t * " if lemma_d else "") + "pi(--prime-bound) * ln(--x)",
                                (_power(exp_bound, t) if lemma_d else 1) * primes * ln_x)
-        alpha_id, beta_id = LEMMA_DIRECT[identity]
-        direct_alpha = constant_one() if alpha_id is None else make_handle(alpha_id, t=t)
-        direct_beta = make_handle(beta_id, t=t if beta_id == "L" else None)
         report = verify_per_term(spec, direct_alpha, direct_beta, nmax)
         body["per_term"] = _per_term_section(report, spec=spec.name, n_max=nmax)
         if x_value is not None:
@@ -391,7 +411,7 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
 
 @cli.command("classify")
 @click.option("--fn", required=True, type=click.Choice(FUNCTION_IDS))
-@click.option("--t", type=int, default=None, help="Power parameter (sigma/L only).")
+@_T_OPTION
 @click.option("--bound", type=click.IntRange(4, RANGE_CEILING), required=True,
               help="Test all pairs with m*n <= BOUND.")
 @click.option("--decomposable", type=click.Choice(["multiplicative", "additive"]), default=None,
@@ -399,10 +419,7 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def classify_cmd(fn: str, t: int | None, bound: int, decomposable: str | None, out: str | None) -> None:
     """Classify a function over 1..BOUND; the verdict lives in the report."""
-    _check_partition(bound, "--bound", fn == "partition")
-    handle = _usage(make_handle, fn, t=t)
-    if t is not None:  # sigma_t or L_t, whose laws compare products v[m]*v[n]
-        _check_digits(f"--t {t} over 1..{bound}", t + 1, bound, 2)
+    handle = _handle(fn, t, "--bound", bound, 2)  # the laws compare products v[m]*v[n]
     if decomposable:
         # both checks read one table of f over 1..bound
         values = evaluate_range(handle, bound)
@@ -485,7 +502,7 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
 @cli.command()
 @click.option("--beta", required=True, type=click.Choice(INTEGER_FUNCTION_IDS),
               help="Exponent function for the histogram.")
-@click.option("--t", type=int, default=None, help="Power parameter (sigma/L only).")
+@_T_OPTION
 @click.option("--M", "m", type=click.IntRange(1, RANGE_CEILING), required=True, help="Histogram over n = 1..M.")
 @click.option("--roots/--no-roots", default=False,
               help="Scan the shifted polynomial for real-root evidence (reported, never asserted).")
@@ -494,12 +511,10 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str | None) -> None:
     """Exponent histogram over 1..M, its exact PMF, and the first four moments."""
-    _check_partition(m, "--M", beta == "partition")
     if roots and format == "csv":
         raise click.UsageError("--roots is reported in the structured format only, not with --format csv")
-    handle = _usage(make_handle, beta, t=t)
-    if t is not None:  # sigma_t or L_t; the structured report holds moments, sums of M r-th powers, r <= 4
-        _check_digits(f"--t {t} over 1..{m}", t + 1, m, *((1, 1) if format == "csv" else (4, m + 1)))
+    # the structured report holds moments, sums of M r-th powers, r <= 4
+    handle = _handle(beta, t, "--M", m, *((1, 1) if format == "csv" else (4, m + 1)))
     poly = build_polynomial(handle, m)
     pmf = normalize(poly)
     if format == "csv":

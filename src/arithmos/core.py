@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
+from functools import partial
 from itertools import chain, compress, islice
 from math import isqrt
 from operator import add, mul, not_
@@ -217,32 +218,45 @@ def prime_count_upto(n: int) -> int:
     return bisect_right(_prime_list[1], n)
 
 
-def local_function(fn_id: str, t: int | None = None) -> tuple[Callable[[Factors], int], bool]:
-    """The factorization-local function ``fn_id`` and whether it is additive.
+#: The factorization-local ids, each fixed by its values on prime powers: id -> (its function of a
+#: factorization, taking t as a keyword when the id takes one; whether it is additive, else
+#: multiplicative; the least t the id takes, None when it takes none). A t defaults to 1.
+LOCAL_FUNCTIONS = {
+    "d": (divisor_count, False, None),
+    "sigma": (divisor_power_sum, False, 0),
+    "omega": (distinct_prime_count, True, None),
+    "bigomega": (partial(exponent_power_sum, t=1), True, None),
+    "L": (exponent_power_sum, True, 1),
+    "phi": (euler_totient, False, None),
+}
 
-    ``d``, ``sigma`` (t >= 0, default 1), ``phi`` are multiplicative and
-    ``omega``, ``bigomega``, ``L`` (t >= 1, default 1) additive: each is
-    fixed by its values on prime powers.
-    """
-    if fn_id == "d":
-        return divisor_count, False
-    if fn_id == "sigma":
-        t = 1 if t is None else t
-        if t < 0:
-            raise ValueError(f"sigma needs t >= 0, got {t}")
-        return (lambda f: divisor_power_sum(f, t)), False
-    if fn_id == "phi":
-        return euler_totient, False
-    if fn_id == "omega":
-        return distinct_prime_count, True
-    if fn_id == "bigomega":
-        return (lambda f: exponent_power_sum(f, 1)), True
-    if fn_id == "L":
-        t = 1 if t is None else t
-        if t < 1:
-            raise ValueError(f"L needs t >= 1, got {t}")
-        return (lambda f: exponent_power_sum(f, t)), True
-    raise ValueError(f"{fn_id!r} is not a factorization-local function id")
+
+def takes_t(fn_id: str) -> bool:
+    """Whether the function id ``fn_id`` takes a power parameter t."""
+    return fn_id in LOCAL_FUNCTIONS and LOCAL_FUNCTIONS[fn_id][2] is not None
+
+
+def function_t(fn_id: str, t: int | None) -> int | None:
+    """The t that ``fn_id`` runs with: ``t``, default 1, for an id that takes one, else None; a t
+    below the id's least, or any t for an id that takes none, raises ValueError."""
+    if not takes_t(fn_id):
+        if t is not None:
+            raise ValueError(f"parameter t does not apply to {fn_id!r}")
+        return None
+    least = LOCAL_FUNCTIONS[fn_id][2]
+    if (t := 1 if t is None else t) < least:
+        raise ValueError(f"{fn_id} needs t >= {least}, got {t}")
+    return t
+
+
+def local_function(fn_id: str, t: int | None = None) -> tuple[Callable[[Factors], int], bool]:
+    """The function of a factorization that :data:`LOCAL_FUNCTIONS` gives ``fn_id``, at the t of
+    :func:`function_t`, and whether it is additive."""
+    if fn_id not in LOCAL_FUNCTIONS:
+        raise ValueError(f"{fn_id!r} is not a factorization-local function id")
+    local, additive, _ = LOCAL_FUNCTIONS[fn_id]
+    t = function_t(fn_id, t)
+    return (local if t is None else partial(local, t=t)), additive
 
 
 def range_values(fn_id: str, limit: int, t: int | None = None) -> list[int]:
@@ -256,6 +270,7 @@ def range_values(fn_id: str, limit: int, t: int | None = None) -> list[int]:
     """
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
+    t = function_t(fn_id, t)
     if fn_id == "partition":
         partition_count(limit)
         values = _partitions[: limit + 1]

@@ -16,39 +16,36 @@ import math
 from functools import partial
 
 from .classify import ArithFnHandle
-from .core import factorize, local_function, partition_count, prime_count_upto, range_values
-
-#: Every id ``make_handle`` accepts. ``log`` evaluates in floating point
-#: and is only meaningful for approximate classification.
-FUNCTION_IDS = ("d", "sigma", "omega", "bigomega", "L", "phi", "pi", "partition", "log")
+from .core import (LOCAL_FUNCTIONS, factorize, function_t, local_function, partition_count, prime_count_upto,
+                   range_values)
 
 #: The integer-valued ids: what the table surface emits and what can serve
 #: as an exponent function for histogram polynomials.
-INTEGER_FUNCTION_IDS = ("d", "sigma", "omega", "bigomega", "L", "phi", "pi", "partition")
+INTEGER_FUNCTION_IDS = (*LOCAL_FUNCTIONS, "pi", "partition")
+
+#: Every id ``make_handle`` accepts. ``log`` evaluates in floating point
+#: and is only meaningful for approximate classification.
+FUNCTION_IDS = (*INTEGER_FUNCTION_IDS, "log")
 
 
 def make_handle(fn_id: str, t: int | None = None) -> ArithFnHandle:
-    """Build a named handle; ``t`` parameterizes ``sigma`` and ``L`` only."""
+    """Build a named handle; ``t`` is checked and defaulted by :func:`~arithmos.core.function_t`."""
     if fn_id not in FUNCTION_IDS:
         raise ValueError(f"unknown function id {fn_id!r}; expected one of {FUNCTION_IDS}")
-    if t is not None and fn_id not in ("sigma", "L"):
-        raise ValueError(f"parameter t does not apply to {fn_id!r}")
+    t = function_t(fn_id, t)
 
     if fn_id == "log":
         return ArithFnHandle("log", math.log, real=True)
-    name = fn_id
     if fn_id == "pi":
         ev = prime_count_upto
     elif fn_id == "partition":
         ev = partition_count
     else:
         local, _ = local_function(fn_id, t)
-        if fn_id in ("sigma", "L"):
-            t = 1 if t is None else t
-            name = f"{fn_id}_{t}"
 
         def ev(n: int) -> int:
             return local(factorize(n))
+    name = fn_id if t is None else f"{fn_id}_{t}"
     return ArithFnHandle(name, ev, range_values=partial(range_values, fn_id, t=t))
 
 

@@ -25,6 +25,8 @@ from arithmos.cli import (
     FlatRows,
     cli,
 )
+from arithmos.core import range_values
+from arithmos.functions import FUNCTION_IDS, INTEGER_FUNCTION_IDS, make_handle
 from arithmos.waring import integer_root, verify_lemma_g
 
 
@@ -78,6 +80,28 @@ def test_table_structured_output():
 def test_table_t_rejected_for_nonparametric():
     res = run("table", "--fn", "omega", "--t", "2", "--nmax", "5")
     assert res.exit_code == 2
+
+
+def _raises_value_error(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("t", [None, -1, 0, 1, 2])
+@pytest.mark.parametrize("fn_id", FUNCTION_IDS)
+def test_layers_agree_on_which_t_an_id_takes(fn_id, t):
+    # make_handle, range_values and the table command refuse the same (id, t) pairs
+    refused = _raises_value_error(lambda: make_handle(fn_id, t))
+    if fn_id != "log":  # log has no range table at all
+        assert _raises_value_error(lambda: range_values(fn_id, 5, t)) is refused
+    if fn_id in INTEGER_FUNCTION_IDS:
+        res = run("table", "--fn", fn_id, "--nmax", "5", *(() if t is None else ("--t", str(t))))
+        assert res.exit_code == (2 if refused else 0), res.output
+    # the rule itself: sigma takes t >= 0 and L t >= 1, default 1; no other id takes a t
+    assert refused is {"sigma": t is not None and t < 0, "L": t is not None and t < 1}.get(fn_id, t is not None)
 
 
 @default_digit_limit
@@ -220,6 +244,9 @@ def test_verify_unread_flag_rejected(monkeypatch, tmp_path, identity, flag, valu
     (("waring", "--s", "-2", "--t", "2", "--order", "10"), "--s"),
     (("verify", "--identity", "euler-product", "--nmax", "10", "--prime-bound", "-5"), "--prime-bound"),
     (("verify", "--identity", "lemma-a", "--nmax", "10", "--x", "1/2", "--prime-bound", "0"), "--prime-bound"),
+    # no gap is below 0, so a negative tolerance would fail every check it ran
+    (("verify", "--identity", "euler-product", "--nmax", "10", "--prime-bound", "10", "--gap-tol", "-1/2"),
+     "--gap-tol"),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
 def test_value_below_its_flag_range_rejected(monkeypatch, args, flag):
     for name in ("verify_per_term", "numeric_identity_check", "euler_zeta_check", "partition_product_check",
@@ -491,7 +518,11 @@ def test_config_file_defaults_and_flag_override(tmp_path):
 @pytest.mark.parametrize("config, problem", [
     ([1, 2], "the top level must be a JSON object"),
     ({"table": 5}, "section 'table' must be a JSON object"),
-], ids=["top-level", "section"])
+    # keys fold - to _ and upper to lower case before they are looked up
+    ({"tabel": {"nmax": 5}}, "section 'tabel' names no subcommand"),
+    ({"table": {"nmax": 5, "fn": "d", "bogus": 1}}, "section 'table' names no parameter 'bogus'"),
+    ({"probnum": {"M": 5, "beta": "d", "Prime-Bound": 7}}, "section 'probnum' names no parameter 'prime_bound'"),
+], ids=["top-level", "section", "no-subcommand", "no-parameter", "parameter-of-another-subcommand"])
 def test_config_file_that_is_no_object_rejected(tmp_path, config, problem):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

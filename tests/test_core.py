@@ -16,6 +16,7 @@ from arithmos.core import (
     exponent_power_sum,
     factorize,
     largest_prime_factor_order,
+    local_function,
     partition_count,
     prime_count_upto,
     primes_upto,
@@ -350,6 +351,11 @@ def test_range_values_rejects_bad_arguments(sieve10k):
         range_values("sigma", 10, -1)
     with pytest.raises(ValueError):
         range_values("L", 10, 0)
+    # a t for an id that takes none is refused with make_handle's message, not ignored
+    for call in (partial(range_values, "d", 10, 5), partial(range_values, "pi", 10, 3),
+                 partial(range_values, "partition", 10, 1), partial(local_function, "omega", 1)):
+        with pytest.raises(ValueError, match="parameter t does not apply to"):
+            call()
 
 
 def test_prime_count_prefix_matches_oracle_everywhere(sieve10k):

@@ -1,9 +1,16 @@
-"""README's code and lists against the package: the tour runs, the export list is the
-package's import list, and the record list is the package's NamedTuple classes."""
+"""README's code and lists against the package: the tour and the command-line examples run,
+the export list is the package's import list, and the record list is the package's NamedTuple
+classes."""
 
 import ast
 import re
+import shlex
+from functools import partial
 from pathlib import Path
+
+from click.testing import CliRunner
+
+from arithmos.cli import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -18,6 +25,25 @@ def test_library_tour_runs():
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported - used == set(), "the tour imports names it never uses"
     exec(compile(code, "README.md (Library tour)", "exec"), {})
+
+
+def test_command_examples_run(tmp_path, monkeypatch):
+    # every `arithmos ...` line of the section's shell blocks, continuations joined, exits 0;
+    # the `echo ... > FILE` line that feeds --config writes its file in a scratch directory
+    section = README.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = "".join(re.findall(r"```sh\n(.*?)```", section, re.S)).replace("\\\n", " ").splitlines()
+    monkeypatch.chdir(tmp_path)
+    commands = []
+    for words in map(partial(shlex.split, comments=True), lines):
+        if words[:1] == ["echo"]:
+            assert words[2] == ">", words
+            (tmp_path / words[3]).write_text(words[1], encoding="utf-8")
+        elif words[:1] == ["arithmos"]:
+            commands.append(words[1:])
+    assert commands
+    for args in commands:
+        res = CliRunner().invoke(cli, args)
+        assert res.exit_code == 0, (args, res.output)
 
 
 def test_export_list_matches_the_package_imports():
