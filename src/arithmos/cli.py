@@ -20,7 +20,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import inf, log
 from operator import itemgetter
 from pathlib import Path
@@ -36,6 +36,7 @@ from .functions import FUNCTION_IDS, INTEGER_FUNCTION_IDS, constant_one, make_ha
 from .identities import (
     BUILTIN_SPEC_IDS,
     LEMMA_DIRECT,
+    LEMMA_LEAST_T,
     IdentityCheckReport,
     NumericCheck,
     builtin_spec,
@@ -151,21 +152,24 @@ class FlatRows(NamedTuple):
 
 
 def _cell(column: list) -> str | None:
-    """The format field that prints each value of ``column`` as ``json.dumps`` would:
-    plain ints as numbers, strs of printable ASCII without quote or backslash as strings;
+    """The %-format field that prints each value of ``column`` as ``json.dumps`` would:
+    ``%d`` for plain ints, ``"%s"`` for strs of printable ASCII without quote or backslash;
     None when some value is neither (an escape, a bool, a float), which the encoder renders."""
     kinds = set(map(type, column))
     if kinds == {int}:
-        return "{}"
+        return "%d"
     if kinds == {str}:
         text = "".join(column)
         if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-            return '"{}"'
+            return '"%s"'
     return None
 
 
 def _json_rows(rows: FlatRows, pad: str) -> Iterator[str]:
-    """JSON text of ``rows`` as an array value on a line indented by ``pad``."""
+    """JSON text of ``rows`` as an array value on a line indented by ``pad``, one chunk per batch:
+    a batch whose columns all have a :func:`_cell` field is one ``%`` format of its values, row
+    by row in one flat tuple, into the row template repeated; any other batch goes through
+    ``json.dumps``."""
     inner = pad + "  "
     # a row of several columns is a list, whose values sit one level deeper
     sep = ",\n" + inner + "  " if len(rows.columns) > 1 else None
@@ -178,7 +182,7 @@ def _json_rows(rows: FlatRows, pad: str) -> Iterator[str]:
             text = "," + json.dumps(values, sort_keys=True, indent=2)[1:-2].replace("\n", "\n" + pad)
         else:
             row = f"[\n{inner}  " + sep.join(cells) + f"\n{inner}]" if sep else cells[0]
-            text = "".join(map((",\n" + inner + row).format, *batch))
+            text = (",\n" + inner + row) * len(batch[0]) % tuple(chain.from_iterable(zip(*batch)))
         # every row text starts with the comma that separates it from the row before
         yield text if opened else "[" + text[1:]
         opened = True
@@ -212,15 +216,20 @@ def _structured(body: dict) -> Iterator[str]:
 
 
 def _csv(header: tuple[str, ...], *columns: Iterable) -> Iterator[str]:
-    """CSV text chunks: the header line, then row i from the i-th value of each column."""
+    """CSV text chunks: the header line, then row i from the i-th value of each column, each value
+    as ``str`` gives it. A chunk of EMIT_BATCH rows is one ``%`` format of their values, row by row
+    in one flat tuple, into the row template ``%s,...,%s`` repeated."""
     yield ",".join(header) + "\n"
-    # no list per batch: one would hold EMIT_BATCH fresh ints of the range column at once
-    rows = map((",".join(["{}"] * len(columns)) + "\n").format, *columns)
-    yield from iter(lambda: "".join(islice(rows, EMIT_BATCH)), "")
+    row = ",".join(["%s"] * len(columns)) + "\n"
+    columns = [iter(column) for column in columns]
+    # no list per column: each batch's values go from the columns straight into its one tuple
+    while values := tuple(chain.from_iterable(zip(*[islice(column, EMIT_BATCH) for column in columns]))):
+        yield row * (len(values) // len(columns)) % values
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write a report's text chunks to ``out`` or stdout, each as it comes.
+    """Write a report's text chunks to ``out`` or stdout, each as it comes, with the text stream's
+    ``writelines``.
 
     The report is never held whole: its long arrays arrive as chunks of EMIT_BATCH
     rows, and the envelope around them in a few small pieces."""
@@ -229,8 +238,9 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
             fh.writelines(chunks)
         click.echo(f"wrote {out}", err=True)
     else:
-        for chunk in chunks:
-            click.echo(chunk, nl=False)
+        stdout = click.get_text_stream("stdout")
+        stdout.writelines(chunks)
+        stdout.flush()
 
 
 def _parse_rational_opt(raw: str | None, flag: str) -> Fraction | None:
@@ -332,7 +342,8 @@ def _gap_section(check: NumericCheck, gap_tol: str | None, tol: Fraction | None,
 
 @cli.command()
 @click.option("--identity", required=True, type=click.Choice(IDENTITY_IDS))
-@click.option("--t", type=int, default=None, help="Power parameter (lemma-b needs t >= 0, lemma-d t >= 1).")
+@click.option("--t", type=int, default=None, help="Power parameter ("
+              + ", ".join(f"{which} needs t >= {least}" for which, least in LEMMA_LEAST_T.items()) + ").")
 @click.option("--nmax", type=click.IntRange(1, RANGE_CEILING), default=10000, show_default=True,
               help="Per-term range for lemma identities; sum truncation for euler-product and the numeric check.")
 @click.option("--order", type=click.IntRange(1, RANGE_CEILING), default=1000, show_default=True,

@@ -32,7 +32,14 @@ from operator import add, mul, ne
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .classify import ArithFnHandle, evaluate_range
-from .core import largest_prime_factor_order, partition_count, prime_power_table, primes_upto
+from .core import (
+    LOCAL_FUNCTIONS,
+    largest_prime_factor_order,
+    partition_count,
+    prime_power_table,
+    primes_upto,
+    takes_t,
+)
 from .powerseries import Rational, TruncatedSeries, as_rational
 
 
@@ -78,22 +85,33 @@ LEMMA_DIRECT = {
 
 BUILTIN_SPEC_IDS = tuple(LEMMA_DIRECT)
 
+#: The least t of each stock spec that takes one: the least t that :data:`core.LOCAL_FUNCTIONS`
+#: gives its direct function (sigma_t of lemma-b, L_t of lemma-d). A spec not listed takes no t.
+LEMMA_LEAST_T = {which: LOCAL_FUNCTIONS[fn_id][2]
+                 for which, direct in LEMMA_DIRECT.items() for fn_id in direct if takes_t(fn_id)}
+
 
 def builtin_spec(which: str, t: int | None = None) -> LocalFactorSpec:
     """The four stock specs, with the direct pairs of :data:`LEMMA_DIRECT`.
 
     lemma-a: theta = 1,                kappa = 1      -> (1, omega)
-    lemma-b: theta = sigma_t(p^a),     kappa = 1      -> (sigma_t, omega), t >= 0
+    lemma-b: theta = sigma_t(p^a),     kappa = 1      -> (sigma_t, omega)
     lemma-c: theta = a + 1,            kappa = 1      -> (d, omega)
-    lemma-d: theta = 1,                kappa = a^t    -> (1, L_t), t >= 1
+    lemma-d: theta = 1,                kappa = a^t    -> (1, L_t)
+
+    lemma-b and lemma-d need a t of at least their :data:`LEMMA_LEAST_T`, with no default;
+    the other two take none.
     """
-    if which in ("lemma-a", "lemma-c") and t is not None:
+    if which not in LEMMA_DIRECT:
+        raise ValueError(f"unknown identity id {which!r}; expected one of {BUILTIN_SPEC_IDS}")
+    least = LEMMA_LEAST_T.get(which)
+    if least is None and t is not None:
         raise ValueError(f"{which} takes no parameter t")
+    if least is not None and (t is None or t < least):
+        raise ValueError(f"{which} needs an integer parameter t >= {least}")
     if which == "lemma-a":
         return LocalFactorSpec("lemma-a", lambda p, a: 1, lambda p, a: 1)
     if which == "lemma-b":
-        if t is None or t < 0:
-            raise ValueError("lemma-b needs an integer parameter t >= 0")
         def sigma_local(p: int, a: int, _t=t) -> int:
             pt = p**_t
             total, acc = 1, 1
@@ -104,11 +122,7 @@ def builtin_spec(which: str, t: int | None = None) -> LocalFactorSpec:
         return LocalFactorSpec(f"lemma-b(t={t})", sigma_local, lambda p, a: 1)
     if which == "lemma-c":
         return LocalFactorSpec("lemma-c", lambda p, a: a + 1, lambda p, a: 1)
-    if which == "lemma-d":
-        if t is None or t < 1:
-            raise ValueError("lemma-d needs an integer parameter t >= 1")
-        return LocalFactorSpec(f"lemma-d(t={t})", lambda p, a: 1, lambda p, a, _t=t: a**_t)
-    raise ValueError(f"unknown identity id {which!r}; expected one of {BUILTIN_SPEC_IDS}")
+    return LocalFactorSpec(f"lemma-d(t={t})", lambda p, a: 1, lambda p, a, _t=t: a**_t)
 
 
 def verify_per_term(

@@ -25,8 +25,9 @@ from arithmos.cli import (
     FlatRows,
     cli,
 )
-from arithmos.core import range_values
+from arithmos.core import LOCAL_FUNCTIONS, range_values, takes_t
 from arithmos.functions import FUNCTION_IDS, INTEGER_FUNCTION_IDS, make_handle
+from arithmos.identities import LEMMA_DIRECT, builtin_spec
 from arithmos.waring import integer_root, verify_lemma_g
 
 
@@ -154,6 +155,22 @@ def test_verify_rejects_bad_range():
 def test_verify_lemma_b_requires_t():
     res = run("verify", "--identity", "lemma-b", "--nmax", "100")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("identity", ["lemma-b", "lemma-d"])
+def test_verify_lemma_refuses_t_below_its_direct_function_least(identity):
+    # the threshold is the least t of the lemma's direct function in core.LOCAL_FUNCTIONS, with no default
+    (least,) = [LOCAL_FUNCTIONS[fn_id][2] for fn_id in LEMMA_DIRECT[identity] if takes_t(fn_id)]
+    assert builtin_spec(identity, t=least).name == f"{identity}(t={least})"
+    for t in (None, least - 1):
+        with pytest.raises(ValueError, match=f"{identity} needs an integer parameter t >= {least}"):
+            builtin_spec(identity, t=t)
+    flags = ("verify", "--identity", identity, "--nmax", "100")
+    assert run(*flags, "--t", str(least)).exit_code == 0
+    for t_flags in ((), ("--t", str(least - 1))):
+        res = run(*flags, *t_flags)
+        assert res.exit_code == 2
+        assert f"{identity} needs an integer parameter t >= {least}" in res.stderr
 
 
 def test_verify_lemma_c_rejects_t():
@@ -723,14 +740,17 @@ def test_report_bytes_unchanged(args, digest, code):
 
 # --- report rendering ----------------------------------------------------------------------
 
-# strings the encoder escapes, and NUL-digit strings
-ODD_TEXT = st.sampled_from(["\x000", "\x001", "\x00\x000", 'a"b', "\\", "\u00e9", "\x7f", "\n"])
-# cells of one column: plain ints (negative too), digit strings, any text, or a mix with
-# bools, floats and None
+# strings the encoder escapes, NUL-digit strings, and strings that are format fields
+ODD_TEXT = st.sampled_from(["\x000", "\x001", "\x00\x000", 'a"b', "\\", "\u00e9", "\x7f", "\n",
+                            "%s", "%d", "%%", "{}"])
+# cells of one column: plain ints (negative too), digit strings, any text, printable ASCII
+# (which the template prints unless it holds a quote or backslash), or a mix with bools,
+# floats and None
 COLUMN_KINDS = [
     st.integers(-10**20, 10**20),
     st.integers(-10**6, 10**6).map(str),
     st.text(max_size=4) | ODD_TEXT,
+    st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from('"\\%{'), max_size=3),
     st.one_of(st.integers(-9, 9), st.text(max_size=2), st.booleans(), st.floats(allow_nan=False), st.none()),
 ]
 SCALARS = st.one_of(st.integers(-10**6, 10**6), st.text(max_size=4), ODD_TEXT, st.booleans(),
@@ -775,6 +795,40 @@ def test_flat_rows_render_as_the_json_encoder_would(case, params):
         ctx.params = dict(params)
         text = "".join(cli_module._structured(body))
     assert text == json.dumps({"header": header, "body": plain}, sort_keys=True, indent=2) + "\n"
+
+
+def csv_oracle(header, *columns):
+    """CSV text as the per-row renderer wrote it: one ``str.format`` call per row."""
+    rows = map((",".join(["{}"] * len(columns)) + "\n").format, *columns)
+    return ",".join(header) + "\n" + "".join(rows)
+
+
+# cells of one CSV column: ints past 2**64 either way, bools, text with format fields or commas, or a mix
+CSV_TEXT = st.text(max_size=4) | ODD_TEXT | st.sampled_from(["%", ",", "a,b", "%(n)s", "{0}"])
+CSV_KINDS = [
+    st.integers(-2**70, 2**70) | st.sampled_from([2**64, -2**64 - 1, 2**100]),
+    st.booleans(),
+    CSV_TEXT,
+    st.one_of(st.integers(-9, 9), st.booleans(), CSV_TEXT),
+]
+
+
+@st.composite
+def csv_columns(draw):
+    """One to three columns of equal length, empty ones too."""
+    n = draw(st.integers(0, 8))
+    return [draw(st.lists(draw(st.sampled_from(CSV_KINDS)), min_size=n, max_size=n))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(csv_columns())
+def test_csv_rows_render_as_the_per_row_format_would(columns):
+    # in batches of 3 rows, so that a column runs over several batches and ends inside one
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    with patch.object(cli_module, "EMIT_BATCH", 3):
+        text = "".join(cli_module._csv(header, *map(iter, columns)))  # columns are read once
+    assert text == csv_oracle(header, *columns)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "structured"])
