@@ -9,11 +9,6 @@ __version__ = "0.1.0"
 from .classify import ArithFnHandle, ClassificationReport, classify, exp_transform, verify_decomposable
 from .core import (
     build_sieve,
-    divisor_count,
-    divisor_power_sum,
-    distinct_prime_count,
-    euler_totient,
-    exponent_power_sum,
     factorize,
     partition_count,
     prime_count_upto,

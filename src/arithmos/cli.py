@@ -41,6 +41,7 @@ from .identities import (
     NumericCheck,
     builtin_spec,
     euler_zeta_check,
+    lemma_direct,
     numeric_identity_check,
     partition_product_check,
     verify_per_term,
@@ -379,10 +380,8 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
         if nmax < 2:
             raise click.UsageError("--nmax must be >= 2")
         spec = _usage(builtin_spec, identity, t=t)
-        # the spec's t is that of the direct function that takes one: sigma_t of lemma-b, L_t of lemma-d
-        direct_alpha, direct_beta = (
-            constant_one() if fn_id is None else _handle(fn_id, t if takes_t(fn_id) else None, "--nmax", nmax)
-            for fn_id in LEMMA_DIRECT[identity])
+        direct_alpha, direct_beta = (constant_one() if fn_id is None else _handle(fn_id, fn_t, "--nmax", nmax)
+                                     for fn_id, fn_t in lemma_direct(identity, t))
         x_value = _parse_rational_opt(x, "--x")
         k_value = 2 if k is None else k
         if x_value is not None:

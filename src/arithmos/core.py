@@ -1,5 +1,5 @@
 """Smallest-prime-factor sieve, factorization, and the classical
-arithmetical functions built on them.
+arithmetical functions as rules on prime powers.
 
 Everything here is exact integer arithmetic; values never pass through
 floats, so results like divisor power sums stay correct at any size.
@@ -12,7 +12,11 @@ by largest prime factor, both from the prime list; :func:`factorize`, the
 per-n route, walks the sieve inside it and trial-divides beyond it (for
 instance large prime powers).
 A factorization is the plain tuple of its ``(prime, exponent)`` pairs,
-:data:`Factors`, which the per-n functions such as :func:`euler_totient` read.
+:data:`Factors`. Each factorization-local id is fixed by its values on
+prime powers: :data:`LOCAL_FUNCTIONS` gives its rule ``(p, a) -> f(p^a)``,
+which the spf walk of :func:`range_values` calls at each prime power and
+the per-n ``eval`` of :func:`arithmos.functions.make_handle` folds over
+:func:`factorize`.
 """
 
 from __future__ import annotations
@@ -158,50 +162,6 @@ def trial_factorize(n: int) -> Factors:
     return tuple(factors)
 
 
-def divisor_count(f: Factors) -> int:
-    """d(n): number of divisors, the product of (e_i + 1)."""
-    out = 1
-    for _, e in f:
-        out *= e + 1
-    return out
-
-
-def divisor_power_sum(f: Factors, t: int) -> int:
-    """sigma_t(n): sum of t-th powers of all divisors; t = 0 gives d(n)."""
-    if t < 0:
-        raise ValueError(f"divisor power must be >= 0, got {t}")
-    out = 1
-    for p, e in f:
-        pt = p**t
-        term = 1
-        acc = 1
-        for _ in range(e):
-            acc *= pt
-            term += acc
-        out *= term
-    return out
-
-
-def distinct_prime_count(f: Factors) -> int:
-    """omega(n): number of distinct prime divisors; omega(1) = 0."""
-    return len(f)
-
-
-def exponent_power_sum(f: Factors, t: int) -> int:
-    """L_t(n): sum of t-th powers of the exponents; L_1 is Omega(n)."""
-    if t < 1:
-        raise ValueError(f"exponent power must be >= 1, got {t}")
-    return sum(e**t for _, e in f)
-
-
-def euler_totient(f: Factors) -> int:
-    """phi(n): count of 1 <= k <= n coprime to n; phi(1) = 1."""
-    out = 1
-    for p, e in f:
-        out *= p ** (e - 1) * (p - 1)
-    return out
-
-
 def prime_count_upto(n: int) -> int:
     """pi(n): number of primes <= n, by bisection on the shared prime list.
 
@@ -218,16 +178,26 @@ def prime_count_upto(n: int) -> int:
     return bisect_right(_prime_list[1], n)
 
 
-#: The factorization-local ids, each fixed by its values on prime powers: id -> (its function of a
-#: factorization, taking t as a keyword when the id takes one; whether it is additive, else
-#: multiplicative; the least t the id takes, None when it takes none). A t defaults to 1.
+def _sigma(p: int, a: int, t: int) -> int:
+    """sigma_t(p^a) = 1 + p^t + ... + p^(at)."""
+    pt = p**t
+    total = acc = 1
+    for _ in range(a):
+        acc *= pt
+        total += acc
+    return total
+
+
+#: The factorization-local ids, each fixed by its values on prime powers: id -> (its prime-power
+#: rule (p, a) -> f(p^a), taking t as a keyword when the id takes one; whether the id is additive,
+#: else multiplicative; the least t the id takes, None when it takes none). A t defaults to 1.
 LOCAL_FUNCTIONS = {
-    "d": (divisor_count, False, None),
-    "sigma": (divisor_power_sum, False, 0),
-    "omega": (distinct_prime_count, True, None),
-    "bigomega": (partial(exponent_power_sum, t=1), True, None),
-    "L": (exponent_power_sum, True, 1),
-    "phi": (euler_totient, False, None),
+    "d": (lambda p, a: a + 1, False, None),
+    "sigma": (_sigma, False, 0),
+    "omega": (lambda p, a: 1, True, None),
+    "bigomega": (lambda p, a: a, True, None),
+    "L": (lambda p, a, t: a**t, True, 1),
+    "phi": (lambda p, a: p ** (a - 1) * (p - 1), False, None),
 }
 
 
@@ -249,14 +219,14 @@ def function_t(fn_id: str, t: int | None) -> int | None:
     return t
 
 
-def local_function(fn_id: str, t: int | None = None) -> tuple[Callable[[Factors], int], bool]:
-    """The function of a factorization that :data:`LOCAL_FUNCTIONS` gives ``fn_id``, at the t of
-    :func:`function_t`, and whether it is additive."""
+def local_function(fn_id: str, t: int | None = None) -> tuple[Callable[[int, int], int], bool]:
+    """The prime-power rule ``(p, a) -> f(p^a)`` that :data:`LOCAL_FUNCTIONS` gives ``fn_id``, at
+    the t of :func:`function_t`, and whether the id is additive."""
     if fn_id not in LOCAL_FUNCTIONS:
         raise ValueError(f"{fn_id!r} is not a factorization-local function id")
-    local, additive, _ = LOCAL_FUNCTIONS[fn_id]
+    rule, additive, _ = LOCAL_FUNCTIONS[fn_id]
     t = function_t(fn_id, t)
-    return (local if t is None else partial(local, t=t)), additive
+    return (rule if t is None else partial(rule, t=t)), additive
 
 
 def range_values(fn_id: str, limit: int, t: int | None = None) -> list[int]:
@@ -264,7 +234,7 @@ def range_values(fn_id: str, limit: int, t: int | None = None) -> list[int]:
 
     The factorization-local ids of :func:`local_function` take one pass
     over ``spf``: n = p^e * m with p = spf(n) and p not dividing m reuses
-    the values at p^e and m, and only prime powers are evaluated directly.
+    the values at p^e and m, and only prime powers call the id's rule.
     ``pi`` is a running prefix count over the sieve and ``partition``
     reads the :func:`partition_count` cache.
     """
@@ -276,7 +246,7 @@ def range_values(fn_id: str, limit: int, t: int | None = None) -> list[int]:
         values = _partitions[: limit + 1]
         values[0] = 0
         return values
-    rule = None if fn_id == "pi" else local_function(fn_id, t)
+    rule, additive = (None, None) if fn_id == "pi" else local_function(fn_id, t)
     spf = build_sieve(limit)
     values = [0] * (limit + 1)
     if rule is None:
@@ -287,7 +257,6 @@ def range_values(fn_id: str, limit: int, t: int | None = None) -> list[int]:
             values[n] = count
         return values
 
-    local, additive = rule
     combine = add if additive else mul
     values[1] = 0 if additive else 1
     low = [1] * (limit + 1)  # low[n] = p^e, the full power of p = spf(n) dividing n
@@ -296,7 +265,7 @@ def range_values(fn_id: str, limit: int, t: int | None = None) -> list[int]:
         q = n // p
         if q % p:
             low[n] = p
-            values[n] = combine(values[p], values[q]) if q > 1 else local(((p, 1),))
+            values[n] = combine(values[p], values[q]) if q > 1 else rule(p, 1)
             continue
         pe = low[q] * p
         low[n] = pe
@@ -307,7 +276,7 @@ def range_values(fn_id: str, limit: int, t: int | None = None) -> list[int]:
             while q > p:
                 q //= p
                 e += 1
-            values[n] = local(((p, e),))
+            values[n] = rule(p, e)
     return values
 
 

@@ -2,12 +2,12 @@
 
 ``make_handle`` wires the classical functions from :mod:`arithmos.core`
 into :class:`~arithmos.classify.ArithFnHandle` objects. Per-n ``eval`` of
-a handle backed by factorization calls :func:`~arithmos.core.factorize`,
-the per-n route: it walks the sieve of :mod:`arithmos.core` inside its
-range and trial-divides beyond it, so prime powers far above the sieve
-still evaluate exactly. Every handle except ``log`` also carries
-:func:`~arithmos.core.range_values`, which tabulates ``1..N`` in one pass
-over the sieve.
+a factorization-local id folds its prime-power rule over
+:func:`~arithmos.core.factorize`, the per-n route: it walks the sieve of
+:mod:`arithmos.core` inside its range and trial-divides beyond it, so
+prime powers far above the sieve still evaluate exactly. Every handle
+except ``log`` also carries :func:`~arithmos.core.range_values`, which
+tabulates ``1..N`` in one pass over the sieve.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ def make_handle(fn_id: str, t: int | None = None) -> ArithFnHandle:
     elif fn_id == "partition":
         ev = partition_count
     else:
-        local, _ = local_function(fn_id, t)
+        rule, additive = local_function(fn_id, t)
+        fold = sum if additive else math.prod
 
         def ev(n: int) -> int:
-            return local(factorize(n))
+            return fold(rule(p, a) for p, a in factorize(n))
     name = fn_id if t is None else f"{fn_id}_{t}"
     return ArithFnHandle(name, ev, range_values=partial(range_values, fn_id, t=t))
 

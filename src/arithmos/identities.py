@@ -17,7 +17,9 @@ Each side is checked two independent ways: per-term exact agreement of
 direct functions' range tables for every n up to a bound (the
 combinatorial content of the identity — every summand arises from one
 choice of one term per prime), and numeric agreement of exact rational
-truncations of both sides, whose gap must shrink as the bounds grow.
+truncations of both sides. Their gap shrinks as the bounds grow only where
+both sides converge at the chosen x and k: k >= 2 is needed but not
+enough, since lemma-b, for one, diverges unless k > t + 1.
 
 The classical zeta product and the partition generating product are kept
 alongside as self-contained oracles.
@@ -35,6 +37,7 @@ from .classify import ArithFnHandle, evaluate_range
 from .core import (
     LOCAL_FUNCTIONS,
     largest_prime_factor_order,
+    local_function,
     partition_count,
     prime_power_table,
     primes_upto,
@@ -91,8 +94,15 @@ LEMMA_LEAST_T = {which: LOCAL_FUNCTIONS[fn_id][2]
                  for which, direct in LEMMA_DIRECT.items() for fn_id in direct if takes_t(fn_id)}
 
 
+def lemma_direct(which: str, t: int | None) -> tuple[tuple[str | None, int | None], ...]:
+    """The direct ``(function id, t)`` pairs of a stock spec, alpha's then beta's, from
+    :data:`LEMMA_DIRECT`: the spec's t goes to the id that takes one, and None to the others."""
+    return tuple((fn_id, t if takes_t(fn_id) else None) for fn_id in LEMMA_DIRECT[which])
+
+
 def builtin_spec(which: str, t: int | None = None) -> LocalFactorSpec:
-    """The four stock specs, with the direct pairs of :data:`LEMMA_DIRECT`.
+    """The four stock specs: theta and kappa are the prime-power rules of their
+    :func:`lemma_direct` functions in :data:`core.LOCAL_FUNCTIONS`, the constant 1 for None.
 
     lemma-a: theta = 1,                kappa = 1      -> (1, omega)
     lemma-b: theta = sigma_t(p^a),     kappa = 1      -> (sigma_t, omega)
@@ -109,20 +119,9 @@ def builtin_spec(which: str, t: int | None = None) -> LocalFactorSpec:
         raise ValueError(f"{which} takes no parameter t")
     if least is not None and (t is None or t < least):
         raise ValueError(f"{which} needs an integer parameter t >= {least}")
-    if which == "lemma-a":
-        return LocalFactorSpec("lemma-a", lambda p, a: 1, lambda p, a: 1)
-    if which == "lemma-b":
-        def sigma_local(p: int, a: int, _t=t) -> int:
-            pt = p**_t
-            total, acc = 1, 1
-            for _ in range(a):
-                acc *= pt
-                total += acc
-            return total
-        return LocalFactorSpec(f"lemma-b(t={t})", sigma_local, lambda p, a: 1)
-    if which == "lemma-c":
-        return LocalFactorSpec("lemma-c", lambda p, a: a + 1, lambda p, a: 1)
-    return LocalFactorSpec(f"lemma-d(t={t})", lambda p, a: 1, lambda p, a, _t=t: a**_t)
+    theta, kappa = ((lambda p, a: 1) if fn_id is None else local_function(fn_id, fn_t)[0]
+                    for fn_id, fn_t in lemma_direct(which, t))
+    return LocalFactorSpec(which if t is None else f"{which}(t={t})", theta, kappa)
 
 
 def verify_per_term(
@@ -200,7 +199,7 @@ def truncated_product_eval(
     An empty prime range gives 1.
     """
     if k < 2:
-        raise ValueError(f"k must be an integer >= 2 for convergent truncations, got {k}")
+        raise ValueError(f"k must be an integer >= 2, got {k}")
     if exp_bound < 1:
         raise ValueError(f"exp_bound must be >= 1, got {exp_bound}")
     xf = Fraction(as_rational(x))
@@ -250,7 +249,7 @@ def truncated_sum_eval(
     small. The pair lists are built in that order, never permuted copies.
     """
     if k < 2:
-        raise ValueError(f"k must be an integer >= 2 for convergent truncations, got {k}")
+        raise ValueError(f"k must be an integer >= 2, got {k}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     xf = Fraction(as_rational(x))

@@ -8,12 +8,8 @@ import pytest
 from arithmos import core
 from arithmos.classify import ArithFnHandle, EvaluationError
 from arithmos.core import (
+    Factors,
     build_sieve,
-    distinct_prime_count,
-    divisor_count,
-    divisor_power_sum,
-    euler_totient,
-    exponent_power_sum,
     factorize,
     largest_prime_factor_order,
     local_function,
@@ -66,6 +62,53 @@ def is_prime_by_trial(n):
 
 def primes_by_trial(limit):
     return [p for p in range(2, limit + 1) if is_prime_by_trial(p)]
+
+
+# the functions of a whole factorization, one formula each, apart from the prime-power rules of
+# core.LOCAL_FUNCTIONS that range_values and the handles' eval read
+
+def divisor_count(f: Factors) -> int:
+    """d(n): number of divisors, the product of (e_i + 1)."""
+    out = 1
+    for _, e in f:
+        out *= e + 1
+    return out
+
+
+def divisor_power_sum(f: Factors, t: int) -> int:
+    """sigma_t(n): sum of t-th powers of all divisors; t = 0 gives d(n)."""
+    if t < 0:
+        raise ValueError(f"divisor power must be >= 0, got {t}")
+    out = 1
+    for p, e in f:
+        pt = p**t
+        term = 1
+        acc = 1
+        for _ in range(e):
+            acc *= pt
+            term += acc
+        out *= term
+    return out
+
+
+def distinct_prime_count(f: Factors) -> int:
+    """omega(n): number of distinct prime divisors; omega(1) = 0."""
+    return len(f)
+
+
+def exponent_power_sum(f: Factors, t: int) -> int:
+    """L_t(n): sum of t-th powers of the exponents; L_1 is Omega(n)."""
+    if t < 1:
+        raise ValueError(f"exponent power must be >= 1, got {t}")
+    return sum(e**t for _, e in f)
+
+
+def euler_totient(f: Factors) -> int:
+    """phi(n): count of 1 <= k <= n coprime to n; phi(1) = 1."""
+    out = 1
+    for p, e in f:
+        out *= p ** (e - 1) * (p - 1)
+    return out
 
 
 def totient_sieve(limit):
@@ -342,6 +385,15 @@ def test_range_values_match_factorize_everywhere(sieve100k):
         assert not bad, (fn_id, t, bad[:5])
 
 
+def test_handle_eval_matches_factorize_oracles(sieve10k):
+    # the per-n eval folds the rule over factorize, so beyond the sieve it trial-divides
+    beyond = (97**20, 2**40 * 3**5, 1009 * 10007**3)
+    for fn_id, t, per_n in LOCAL_CASES:
+        ev = make_handle(fn_id, t).eval
+        bad = [n for n in (*range(1, 2001), *beyond) if ev(n) != per_n(factorize(n))]
+        assert not bad, (fn_id, t, bad[:5])
+
+
 def test_range_values_rejects_bad_arguments(sieve10k):
     with pytest.raises(ValueError):
         range_values("d", 0)
@@ -453,13 +505,24 @@ def sympy():
     ("phi", None, "totient"),
     ("omega", None, "primenu"),
     ("bigomega", None, "primeomega"),
-    ("pi", None, "primepi"),
 ])
 def test_range_values_match_sympy(sympy, sieve100k, fn_id, t, name):
     oracle = getattr(sympy, name)
     args = () if t is None else (t,)
     values = range_values(fn_id, SYMPY_LIMIT, t)
     bad = [n for n in range(1, SYMPY_LIMIT + 1) if values[n] != oracle(n, *args)]
+    assert not bad, bad[:5]
+
+
+def test_prime_count_range_matches_sympy_primerange(sympy, sieve100k):
+    # a running count over sympy's primes gives pi(n) at every n, as per-n primepi calls would
+    values = range_values("pi", SYMPY_LIMIT)
+    want = [0] * (SYMPY_LIMIT + 1)
+    for p in sympy.primerange(1, SYMPY_LIMIT + 1):
+        want[p] = 1
+    for n in range(1, SYMPY_LIMIT + 1):
+        want[n] += want[n - 1]
+    bad = [n for n in range(1, SYMPY_LIMIT + 1) if values[n] != want[n]]
     assert not bad, bad[:5]
 
 
