@@ -20,8 +20,8 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain, islice
-from math import inf, log
+from itertools import islice
+from math import floor, inf, log, log10
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -141,24 +141,47 @@ def _handle(fn_id: str, t: int | None, flag: str, size: int, power: int = 1, ter
 
 
 def _decimal(value: Fraction) -> str:
-    return f"{float(value):.12e}"
+    """``value`` as ``%.12e`` prints it: through ``float`` inside the normal float range, and from
+    the exact fraction outside it, where ``float`` overflows or drops digits, rounded half to even.
+    Neither route makes a str of a huge int."""
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = inf
+    if not value or sys.float_info.min <= abs(approx) < inf:
+        return f"{approx:.12e}"
+    size, ten = abs(value), Fraction(10)
+    # 10^e <= size < 10^(e+1); the bit lengths give e to within one
+    e = floor((size.numerator.bit_length() - size.denominator.bit_length()) * log10(2))
+    while size < ten**e:
+        e -= 1
+    while size >= ten ** (e + 1):
+        e += 1
+    digits = round(size / ten ** (e - 12))  # 13 significant digits
+    if digits == 10**13:  # rounded up to the next power of ten
+        digits, e = 10**12, e + 1
+    return f"{'-' if value < 0 else ''}{digits // 10**12}.{digits % 10**12:012d}e{e:+03d}"
 
 
 class FlatRows(NamedTuple):
     """A long array of a report, given by columns of equal length: row i holds the i-th
-    value of each column, as a list, or bare with one column. It renders as
-    ``list(zip(*columns))`` (or ``list(columns[0])``) would, in batches of EMIT_BATCH rows."""
+    value of each column, as a list, or bare with one column. The columns whose indexes are
+    in ``quoted`` print each value as the JSON string of its ``str``, so an int column there
+    needs no str per value. It renders as ``list(zip(*columns))`` (or ``list(columns[0])``)
+    would with each quoted column mapped through ``str``, in batches of EMIT_BATCH rows."""
 
     columns: tuple[Iterable, ...]
+    quoted: tuple[int, ...] = ()
 
 
-def _cell(column: list) -> str | None:
-    """The %-format field that prints each value of ``column`` as ``json.dumps`` would:
-    ``%d`` for plain ints, ``"%s"`` for strs of printable ASCII without quote or backslash;
-    None when some value is neither (an escape, a bool, a float), which the encoder renders."""
+def _cell(column: list, quoted: bool) -> str | None:
+    """The %-format field that prints each value of ``column`` as ``json.dumps`` would, the
+    value's ``str`` when ``quoted``: ``%d`` (``"%d"`` when quoted) for plain ints, ``"%s"`` for
+    strs of printable ASCII without quote or backslash; None when some value is neither (an
+    escape, a bool, a float), which the encoder renders."""
     kinds = set(map(type, column))
     if kinds == {int}:
-        return "%d"
+        return '"%d"' if quoted else "%d"
     if kinds == {str}:
         text = "".join(column)
         if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
@@ -166,24 +189,37 @@ def _cell(column: list) -> str | None:
     return None
 
 
+def _batches(columns: Iterable[Iterable]) -> Iterator[tuple[list[list], tuple]]:
+    """The rows of ``columns`` in batches of up to EMIT_BATCH: each batch as its column lists and
+    as one tuple of their values row by row, for a row template repeated once per row. Column j
+    is slice-assigned to every ``width``-th place of one flat list from place j."""
+    columns = [iter(column) for column in columns]
+    width = len(columns)
+    while (batch := [list(islice(column, EMIT_BATCH)) for column in columns])[0]:
+        flat = [None] * (width * len(batch[0]))
+        for j, column in enumerate(batch):
+            flat[j::width] = column
+        yield batch, tuple(flat)
+
+
 def _json_rows(rows: FlatRows, pad: str) -> Iterator[str]:
-    """JSON text of ``rows`` as an array value on a line indented by ``pad``, one chunk per batch:
-    a batch whose columns all have a :func:`_cell` field is one ``%`` format of its values, row
-    by row in one flat tuple, into the row template repeated; any other batch goes through
-    ``json.dumps``."""
+    """JSON text of ``rows`` as an array value on a line indented by ``pad``, one chunk per batch
+    of :func:`_batches`: a batch whose columns all have a :func:`_cell` field is one ``%`` format
+    of its values into the row template repeated; any other batch goes through ``json.dumps``,
+    its quoted columns mapped through ``str`` first."""
     inner = pad + "  "
     # a row of several columns is a list, whose values sit one level deeper
     sep = ",\n" + inner + "  " if len(rows.columns) > 1 else None
-    columns = [iter(column) for column in rows.columns]
     opened = False
-    while (batch := [list(islice(column, EMIT_BATCH)) for column in columns])[0]:
-        cells = list(map(_cell, batch))
+    for batch, values in _batches(rows.columns):
+        cells = [_cell(column, j in rows.quoted) for j, column in enumerate(batch)]
         if None in cells:
-            values = list(zip(*batch)) if sep else batch[0]
-            text = "," + json.dumps(values, sort_keys=True, indent=2)[1:-2].replace("\n", "\n" + pad)
+            batch = [list(map(str, column)) if j in rows.quoted else column for j, column in enumerate(batch)]
+            plain = list(zip(*batch)) if sep else batch[0]
+            text = "," + json.dumps(plain, sort_keys=True, indent=2)[1:-2].replace("\n", "\n" + pad)
         else:
             row = f"[\n{inner}  " + sep.join(cells) + f"\n{inner}]" if sep else cells[0]
-            text = (",\n" + inner + row) * len(batch[0]) % tuple(chain.from_iterable(zip(*batch)))
+            text = (",\n" + inner + row) * len(batch[0]) % values
         # every row text starts with the comma that separates it from the row before
         yield text if opened else "[" + text[1:]
         opened = True
@@ -218,14 +254,12 @@ def _structured(body: dict) -> Iterator[str]:
 
 def _csv(header: tuple[str, ...], *columns: Iterable) -> Iterator[str]:
     """CSV text chunks: the header line, then row i from the i-th value of each column, each value
-    as ``str`` gives it. A chunk of EMIT_BATCH rows is one ``%`` format of their values, row by row
-    in one flat tuple, into the row template ``%s,...,%s`` repeated."""
+    as ``str`` gives it. A chunk is one batch of :func:`_batches`, one ``%`` format of its values
+    into the row template ``%s,...,%s`` repeated."""
     yield ",".join(header) + "\n"
     row = ",".join(["%s"] * len(columns)) + "\n"
-    columns = [iter(column) for column in columns]
-    # no list per column: each batch's values go from the columns straight into its one tuple
-    while values := tuple(chain.from_iterable(zip(*[islice(column, EMIT_BATCH) for column in columns]))):
-        yield row * (len(values) // len(columns)) % values
+    for batch, values in _batches(columns):
+        yield row * len(batch[0]) % values
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -325,7 +359,7 @@ def table(fn: str, t: int | None, nmax: int, format: str, out: str | None) -> No
     if format == "csv":
         report = _csv(("n", "value"), range(1, nmax + 1), islice(values, 1, None))
     else:
-        rows = FlatRows((range(1, nmax + 1), map(str, islice(values, 1, None))))
+        rows = FlatRows((range(1, nmax + 1), islice(values, 1, None)), quoted=(1,))
         report = _structured({"function": handle.name, "rows": rows})
     _emit(report, out)
 

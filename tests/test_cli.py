@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from unittest.mock import patch
 import click
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithmos import __version__
@@ -27,7 +28,7 @@ from arithmos.cli import (
 )
 from arithmos.core import LOCAL_FUNCTIONS, range_values, takes_t
 from arithmos.functions import FUNCTION_IDS, INTEGER_FUNCTION_IDS, make_handle
-from arithmos.identities import LEMMA_DIRECT, builtin_spec
+from arithmos.identities import LEMMA_DIRECT, builtin_spec, numeric_identity_check
 from arithmos.waring import integer_root, verify_lemma_g
 
 
@@ -198,6 +199,52 @@ def test_verify_numeric_check_failing_tolerance():
     )
     assert res.exit_code == 1
     assert body_of(res)["numeric"]["passed"] is False  # report still written
+
+
+def scientific(value: Fraction) -> str:
+    """``value`` to 13 significant digits, half to even, in the shape of ``%.12e``: the oracle of
+    the decimals of verify, by the decimal module, which reads an int of any size without a str."""
+    context = decimal.Context(prec=13, rounding=decimal.ROUND_HALF_EVEN, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    quotient = context.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
+    if not quotient:
+        return "0.000000000000e+00"
+    sign, digits, _ = quotient.as_tuple()
+    mantissa = "".join(map(str, digits)).ljust(13, "0")
+    return f"{'-' * sign}{mantissa[0]}.{mantissa[1:]}e{quotient.adjusted():+03d}"
+
+
+# (identity, t, x, prime bound, exp bound, nmax, gap tolerance, exit code): a product past the
+# largest float, and a nonzero gap below the least normal float, which fails a tolerance of 0
+OUTSIDE_FLOAT_RANGE = [
+    ("lemma-d", 2, "2", 50, 14, 2000, None, 0),
+    ("lemma-a", None, "1/1" + "0" * 400, 100, 4, 1000, "0", 1),
+]
+
+
+@pytest.mark.parametrize("identity, t, x, prime_bound, exp_bound, nmax, gap_tol, code", OUTSIDE_FLOAT_RANGE,
+                         ids=["product past the float range", "gap below the float range"])
+def test_verify_values_outside_the_float_range_printed_exactly(identity, t, x, prime_bound, exp_bound, nmax,
+                                                               gap_tol, code):
+    args = ["verify", "--identity", identity, "--x", x, "--nmax", str(nmax), "--prime-bound", str(prime_bound),
+            "--exp-bound", str(exp_bound)]
+    args += ["--t", str(t)] * (t is not None) + ["--gap-tol", gap_tol] * (gap_tol is not None)
+    res = run(*args)
+    assert res.exit_code == code, res.output
+    numeric = body_of(res)["numeric"]
+    check = numeric_identity_check(builtin_spec(identity, t=t), Fraction(x), 2, prime_bound, exp_bound, nmax)
+    assert not all(sys.float_info.min <= value <= sys.float_info.max for value in check)
+    assert [numeric["product"], numeric["sum"], numeric["gap"]] == list(map(scientific, check))
+    assert numeric["passed"] is (None if gap_tol is None else check.gap <= Fraction(gap_tol))
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(10**6000 + 1, 3), Fraction(-2, 3 * 10**6000), -Fraction(10**400),
+    Fraction(99999999999995, 10**413), Fraction(99999999999985, 10**413), Fraction(99999999999994999, 10**416),
+    Fraction(5, 10**320), Fraction(1, 2**1074), Fraction(2**1024), Fraction(7, 3), Fraction(0),
+])
+def test_decimal_matches_the_exact_oracle(value):
+    # past the digit limit, at the next power of ten after rounding, on both rounding ties, subnormal, in range
+    assert cli_module._decimal(value) == scientific(value)
 
 
 def test_verify_exp_bound_must_be_positive():
@@ -761,14 +808,21 @@ PLAIN = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dic
                      max_leaves=8)
 
 
+# cells of a quoted column, which print as the JSON strings of their str: ints past 2**64 either way
+QUOTED_INTS = st.integers(-2**70, 2**70) | st.sampled_from([2**64, -2**64 - 1, 2**100])
+
+
 @st.composite
 def flat_arrays(draw):
-    """A FlatRows of scalar rows (one column) or pair rows (two), and the list it stands for."""
+    """A FlatRows of scalar rows (one column) or pair rows (two), and the list it stands for; each
+    column is of a kind of COLUMN_KINDS or a quoted int column, which stands for its values' strs."""
     n = draw(st.integers(0, 8))
-    columns = [draw(st.lists(draw(st.sampled_from(COLUMN_KINDS)), min_size=n, max_size=n))
-               for _ in range(draw(st.integers(1, 2)))]
-    plain = columns[0] if len(columns) == 1 else [list(row) for row in zip(*columns)]
-    return FlatRows(tuple(map(iter, columns))), plain  # columns are read once, like map objects
+    kinds = draw(st.lists(st.sampled_from([*COLUMN_KINDS, QUOTED_INTS]), min_size=1, max_size=2))
+    columns = [draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]
+    quoted = tuple(j for j, kind in enumerate(kinds) if kind is QUOTED_INTS)
+    shown = [list(map(str, column)) if j in quoted else column for j, column in enumerate(columns)]
+    plain = shown[0] if len(shown) == 1 else [list(row) for row in zip(*shown)]
+    return FlatRows(tuple(map(iter, columns)), quoted), plain  # columns are read once, like map objects
 
 
 @st.composite
@@ -785,6 +839,9 @@ def report_bodies(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(report_bodies(), st.dictionaries(st.sampled_from(["m", "out", "fn", "t"]), SCALARS))
+# a quoted int column beside a text column: a first batch through the template, a second through the encoder
+@example(({"rows": FlatRows((["a", "b", "c", "\n"], [2**64, -1, 0, -2**64 - 1]), (1,))},
+          {"rows": [["a", "18446744073709551616"], ["b", "-1"], ["c", "0"], ["\n", "-18446744073709551617"]]}), {})
 def test_flat_rows_render_as_the_json_encoder_would(case, params):
     # the report of a table invocation with these parameters, in batches of 3 rows, so that
     # one array mixes batches of the template and of the encoder
