@@ -141,23 +141,42 @@ def _handle(fn_id: str, t: int | None, flag: str, size: int, power: int = 1, ter
 
 
 def _decimal(value: Fraction) -> str:
-    """``value`` as ``%.12e`` prints it: through ``float`` inside the normal float range, and from
-    the exact fraction outside it, where ``float`` overflows or drops digits, rounded half to even.
-    Neither route makes a str of a huge int."""
+    """``value`` to 13 significant digits, rounded half to even, in the shape of ``%.12e``.
+
+    Inside the normal float range ``%.12e`` of ``float(value)`` gives the digits d and the
+    exponent e, which can be one last digit off: the float has rounded once already. Exact int
+    comparisons of ``|value|`` with the midpoints to the neighbours of d settle that digit.
+    Outside the range, where ``float`` overflows or drops digits, d and e come from the exact
+    fraction. Neither route makes a str of a huge int."""
     try:
         approx = float(value)
     except OverflowError:
         approx = inf
-    if not value or sys.float_info.min <= abs(approx) < inf:
+    if not value:
         return f"{approx:.12e}"
-    size, ten = abs(value), Fraction(10)
-    # 10^e <= size < 10^(e+1); the bit lengths give e to within one
-    e = floor((size.numerator.bit_length() - size.denominator.bit_length()) * log10(2))
-    while size < ten**e:
-        e -= 1
-    while size >= ten ** (e + 1):
-        e += 1
-    digits = round(size / ten ** (e - 12))  # 13 significant digits
+    size = abs(value)
+    if sys.float_info.min <= abs(approx) < inf:
+        mantissa, _, exp = f"{abs(approx):.12e}".partition("e")
+        digits, e = int(mantissa.replace(".", "")), int(exp)
+        # 20·size·10^(12-e) = 20·num/den against 20·digits ± 10, the midpoints to digits ± 1; at
+        # digits = 10^12 the neighbour below is 9.999999999999e(e-1), so its midpoint is 20·digits - 1
+        num, den = (size.numerator * 10 ** (12 - e), size.denominator) if e <= 12 else (
+            size.numerator, size.denominator * 10 ** (e - 12))
+        below = 20 * num - (20 * digits - (1 if digits == 10**12 else 10)) * den
+        above = 20 * num - (20 * digits + 10) * den
+        if below < 0 or not below and digits % 2:
+            digits, e = (10**13 - 1, e - 1) if digits == 10**12 else (digits - 1, e)
+        elif above > 0 or not above and digits % 2:
+            digits += 1
+    else:
+        ten = Fraction(10)
+        # 10^e <= size < 10^(e+1); the bit lengths give e to within one
+        e = floor((size.numerator.bit_length() - size.denominator.bit_length()) * log10(2))
+        while size < ten**e:
+            e -= 1
+        while size >= ten ** (e + 1):
+            e += 1
+        digits = round(size / ten ** (e - 12))
     if digits == 10**13:  # rounded up to the next power of ten
         digits, e = 10**12, e + 1
     return f"{'-' if value < 0 else ''}{digits // 10**12}.{digits % 10**12:012d}e{e:+03d}"

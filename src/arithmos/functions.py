@@ -52,4 +52,4 @@ def make_handle(fn_id: str, t: int | None = None) -> ArithFnHandle:
 
 def constant_one() -> ArithFnHandle:
     """The constant function 1 (the trivial weight in several identities)."""
-    return ArithFnHandle("one", lambda n: 1)
+    return ArithFnHandle("one", lambda n: 1, range_values=lambda bound: [0] + [1] * bound)

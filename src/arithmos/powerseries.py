@@ -25,7 +25,6 @@ power at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -61,26 +60,45 @@ def parse_rational(s: str) -> Rational:
     return int(txt)
 
 
-# A dataclass, not a NamedTuple: construction validates every coefficient, and a
-# series never equals a bare tuple.
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Exact series ``c_0 + c_1 x + ... + c_N x^N`` (mod ``x^(N+1)``)."""
+    """Exact series ``c_0 + c_1 x + ... + c_N x^N`` (mod ``x^(N+1)``).
 
+    Immutable, with equality and hash over ``(order, coeffs)``. Construction
+    validates every coefficient, and a series never equals a bare tuple.
+    """
+
+    __slots__ = ("order", "coeffs")
     order: int
     coeffs: tuple[Rational, ...]
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
-        coeffs = tuple(self.coeffs)
+    def __init__(self, order: int, coeffs) -> None:
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
+        coeffs = tuple(coeffs)
         if set(map(type, coeffs)) != {int}:
             coeffs = tuple(map(as_rational, coeffs))
-        if len(coeffs) != self.order + 1:
-            raise ValueError(
-                f"expected {self.order + 1} coefficients for order {self.order}, got {len(coeffs)}"
-            )
+        if len(coeffs) != order + 1:
+            raise ValueError(f"expected {order + 1} coefficients for order {order}, got {len(coeffs)}")
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable TruncatedSeries")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable TruncatedSeries")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.order == other.order and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.coeffs))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; the default would assign the slots
+        return self.__class__, (self.order, self.coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs) -> TruncatedSeries:

@@ -2,6 +2,7 @@ import decimal
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -241,10 +242,26 @@ def test_verify_values_outside_the_float_range_printed_exactly(identity, t, x, p
     Fraction(10**6000 + 1, 3), Fraction(-2, 3 * 10**6000), -Fraction(10**400),
     Fraction(99999999999995, 10**413), Fraction(99999999999985, 10**413), Fraction(99999999999994999, 10**416),
     Fraction(5, 10**320), Fraction(1, 2**1074), Fraction(2**1024), Fraction(7, 3), Fraction(0),
+    Fraction(739371928939, 4 * 10**318), Fraction(99999999999995, 10**14) - Fraction(1, 10**30),
 ])
 def test_decimal_matches_the_exact_oracle(value):
-    # past the digit limit, at the next power of ten after rounding, on both rounding ties, subnormal, in range
+    # past the digit limit, at the next power of ten after rounding, on both rounding ties, subnormal,
+    # in range, an exact tie that the float rounds the wrong way, just below a tie at a power of ten
     assert cli_module._decimal(value) == scientific(value)
+
+
+def test_decimal_of_seeded_fractions_and_ties_matches_the_exact_oracle():
+    # near both ends and the middle of the float range: random fractions, exact ties between two
+    # 13-digit decimals (d·10 + 5 in units of the 14th digit) and points just off a tie either way
+    rng = random.Random("decimal-ties")
+    for _ in range(3000):
+        e = rng.choice([rng.randint(-330, -290), rng.randint(-20, 20), rng.randint(290, 320)])
+        unit, off = (Fraction(10) ** (e - 13 - k) for k in (0, rng.randint(3, 40)))
+        d = rng.choice([rng.randrange(10**12, 10**13), 10**12, 10**13 - 1])
+        value = rng.choice([Fraction(rng.getrandbits(60) + 1, rng.getrandbits(60) + 1) * unit * 10**13,
+                            (10 * d + 5) * unit, (10 * d + 5) * unit - off, (10 * d + 5) * unit + off])
+        value *= rng.choice([1, -1])
+        assert cli_module._decimal(value) == scientific(value), value
 
 
 def test_verify_exp_bound_must_be_positive():

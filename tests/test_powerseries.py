@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -167,6 +169,24 @@ def test_constructor_collapses_integral_fractions_and_keeps_mixed_series_exact()
 def test_coefficient_count_enforced():
     with pytest.raises(ValueError):
         TruncatedSeries(3, (1, 2))
+
+
+def test_series_is_an_immutable_value():
+    a = TruncatedSeries(order=2, coeffs=[1, Fraction(1, 2), 0])
+    for name, value in (("order", 3), ("coeffs", (1, 2, 3)), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    with pytest.raises(AttributeError):
+        del a.coeffs
+    same, other = TruncatedSeries.from_coeffs((1, Fraction(2, 4), 0)), TruncatedSeries.from_coeffs((1, 1, 0))
+    assert a == same and hash(a) == hash(same) and len({a, same, other}) == 2
+    assert a != other and a != TruncatedSeries.from_coeffs((1, Fraction(1, 2)))
+    assert a != (2, (1, Fraction(1, 2), 0)) and a != (1, Fraction(1, 2), 0) and a.coeffs == (1, Fraction(1, 2), 0)
+    assert repr(a) == "TruncatedSeries(order=2, [1, 1/2, 0])"
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is TruncatedSeries and twin == a and twin.coeffs == a.coeffs
+        with pytest.raises(AttributeError):
+            twin.order = 5
 
 
 # --- algebraic properties ----------------------------------------------------
