@@ -28,7 +28,7 @@ _EXPORTS = {
                      "verify_lemma_g", "waring_counts"), "waring"),
 }
 
-_SUBMODULES = frozenset([*_EXPORTS.values(), "cli", "functions"])
+_SUBMODULES = frozenset(_EXPORTS.values())
 
 __all__ = list(_EXPORTS)
 

@@ -143,40 +143,25 @@ def _handle(fn_id: str, t: int | None, flag: str, size: int, power: int = 1, ter
 def _decimal(value: Fraction) -> str:
     """``value`` to 13 significant digits, rounded half to even, in the shape of ``%.12e``.
 
-    Inside the normal float range ``%.12e`` of ``float(value)`` gives the digits d and the
-    exponent e, which can be one last digit off: the float has rounded once already. Exact int
-    comparisons of ``|value|`` with the midpoints to the neighbours of d settle that digit.
-    Outside the range, where ``float`` overflows or drops digits, d and e come from the exact
-    fraction. Neither route makes a str of a huge int."""
-    try:
-        approx = float(value)
-    except OverflowError:
-        approx = inf
+    Exact at every magnitude: the bit lengths give the decimal exponent e to within one, and
+    one int division of |value|·10^(12-e) gives the digits and the remainder that rounds the
+    last one. No float and no str of a huge int is made."""
     if not value:
-        return f"{approx:.12e}"
-    size = abs(value)
-    if sys.float_info.min <= abs(approx) < inf:
-        mantissa, _, exp = f"{abs(approx):.12e}".partition("e")
-        digits, e = int(mantissa.replace(".", "")), int(exp)
-        # 20·size·10^(12-e) = 20·num/den against 20·digits ± 10, the midpoints to digits ± 1; at
-        # digits = 10^12 the neighbour below is 9.999999999999e(e-1), so its midpoint is 20·digits - 1
-        num, den = (size.numerator * 10 ** (12 - e), size.denominator) if e <= 12 else (
-            size.numerator, size.denominator * 10 ** (e - 12))
-        below = 20 * num - (20 * digits - (1 if digits == 10**12 else 10)) * den
-        above = 20 * num - (20 * digits + 10) * den
-        if below < 0 or not below and digits % 2:
-            digits, e = (10**13 - 1, e - 1) if digits == 10**12 else (digits - 1, e)
-        elif above > 0 or not above and digits % 2:
-            digits += 1
-    else:
-        ten = Fraction(10)
-        # 10^e <= size < 10^(e+1); the bit lengths give e to within one
-        e = floor((size.numerator.bit_length() - size.denominator.bit_length()) * log10(2))
-        while size < ten**e:
+        return f"{0:.12e}"
+    num, den = abs(value.numerator), value.denominator
+    # 10^e <= num/den < 10^(e+1), to within one from the bit lengths
+    e = floor((num.bit_length() - den.bit_length()) * log10(2))
+    while True:
+        top, bottom = (num * 10 ** (12 - e), den) if e <= 12 else (num, den * 10 ** (e - 12))
+        digits, rest = divmod(top, bottom)
+        if digits < 10**12:
             e -= 1
-        while size >= ten ** (e + 1):
+        elif digits >= 10**13:
             e += 1
-        digits = round(size / ten ** (e - 12))
+        else:
+            break
+    if 2 * rest > bottom or 2 * rest == bottom and digits % 2:
+        digits += 1
     if digits == 10**13:  # rounded up to the next power of ten
         digits, e = 10**12, e + 1
     return f"{'-' if value < 0 else ''}{digits // 10**12}.{digits % 10**12:012d}e{e:+03d}"

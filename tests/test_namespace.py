@@ -41,7 +41,8 @@ def package_modules(names: set[str]) -> set[str]:
 def test_an_import_loads_only_what_it_names(statement, package):
     loaded = loaded_after(statement)
     assert package_modules(loaded) == package
-    assert not loaded & {"dataclasses", "inspect"}
+    # measured against an empty statement, so that what site hooks import at startup does not count
+    assert not (loaded - loaded_after("pass")) & {"dataclasses", "inspect"}
 
 
 def test_exported_names_resolve_to_their_modules_objects():
