@@ -169,62 +169,40 @@ def _decimal(value: Fraction) -> str:
 
 class FlatRows(NamedTuple):
     """A long array of a report, given by columns of equal length: row i holds the i-th
-    value of each column, as a list, or bare with one column. The columns whose indexes are
-    in ``quoted`` print each value as the JSON string of its ``str``, so an int column there
-    needs no str per value. It renders as ``list(zip(*columns))`` (or ``list(columns[0])``)
-    would with each quoted column mapped through ``str``, in batches of EMIT_BATCH rows."""
+    value of each column, as a list, or bare with one column. A column whose index is in
+    ``quoted`` prints each value's ``str`` as a JSON string, which the caller guarantees
+    needs no escape (true of ints and of :func:`format_rational`); every other column holds
+    ints, which print as JSON numbers. It renders as ``list(zip(*columns))`` (or
+    ``list(columns[0])``) would with each quoted column mapped through ``str``, in batches
+    of EMIT_BATCH rows."""
 
     columns: tuple[Iterable, ...]
     quoted: tuple[int, ...] = ()
 
 
-def _cell(column: list, quoted: bool) -> str | None:
-    """The %-format field that prints each value of ``column`` as ``json.dumps`` would, the
-    value's ``str`` when ``quoted``: ``%d`` (``"%d"`` when quoted) for plain ints, ``"%s"`` for
-    strs of printable ASCII without quote or backslash; None when some value is neither (an
-    escape, a bool, a float), which the encoder renders."""
-    kinds = set(map(type, column))
-    if kinds == {int}:
-        return '"%d"' if quoted else "%d"
-    if kinds == {str}:
-        text = "".join(column)
-        if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-            return '"%s"'
-    return None
-
-
-def _batches(columns: Iterable[Iterable]) -> Iterator[tuple[list[list], tuple]]:
-    """The rows of ``columns`` in batches of up to EMIT_BATCH: each batch as its column lists and
-    as one tuple of their values row by row, for a row template repeated once per row. Column j
-    is slice-assigned to every ``width``-th place of one flat list from place j."""
+def _rows(row: str, columns: Iterable[Iterable]) -> Iterator[str]:
+    """The rows of ``columns`` as text chunks of up to EMIT_BATCH rows: a chunk is one ``%``
+    format of the batch's values, row by row in one flat tuple, into ``row`` repeated once per
+    row. Column j of a batch is slice-assigned to every ``width``-th place of one flat list from j."""
     columns = [iter(column) for column in columns]
     width = len(columns)
     while (batch := [list(islice(column, EMIT_BATCH)) for column in columns])[0]:
         flat = [None] * (width * len(batch[0]))
         for j, column in enumerate(batch):
             flat[j::width] = column
-        yield batch, tuple(flat)
+        yield row * len(batch[0]) % tuple(flat)
 
 
 def _json_rows(rows: FlatRows, pad: str) -> Iterator[str]:
     """JSON text of ``rows`` as an array value on a line indented by ``pad``, one chunk per batch
-    of :func:`_batches`: a batch whose columns all have a :func:`_cell` field is one ``%`` format
-    of its values into the row template repeated; any other batch goes through ``json.dumps``,
-    its quoted columns mapped through ``str`` first."""
+    of :func:`_rows`: a value prints with ``"%s"`` in a quoted column and ``%d`` in any other."""
     inner = pad + "  "
+    cells = ['"%s"' if j in rows.quoted else "%d" for j in range(len(rows.columns))]
     # a row of several columns is a list, whose values sit one level deeper
-    sep = ",\n" + inner + "  " if len(rows.columns) > 1 else None
+    row = f"[\n{inner}  " + f",\n{inner}  ".join(cells) + f"\n{inner}]" if len(cells) > 1 else cells[0]
     opened = False
-    for batch, values in _batches(rows.columns):
-        cells = [_cell(column, j in rows.quoted) for j, column in enumerate(batch)]
-        if None in cells:
-            batch = [list(map(str, column)) if j in rows.quoted else column for j, column in enumerate(batch)]
-            plain = list(zip(*batch)) if sep else batch[0]
-            text = "," + json.dumps(plain, sort_keys=True, indent=2)[1:-2].replace("\n", "\n" + pad)
-        else:
-            row = f"[\n{inner}  " + sep.join(cells) + f"\n{inner}]" if sep else cells[0]
-            text = (",\n" + inner + row) * len(batch[0]) % values
-        # every row text starts with the comma that separates it from the row before
+    # every row text starts with the comma that separates it from the row before
+    for text in _rows(",\n" + inner + row, rows.columns):
         yield text if opened else "[" + text[1:]
         opened = True
     yield f"\n{pad}]" if opened else "[]"
@@ -258,12 +236,9 @@ def _structured(body: dict) -> Iterator[str]:
 
 def _csv(header: tuple[str, ...], *columns: Iterable) -> Iterator[str]:
     """CSV text chunks: the header line, then row i from the i-th value of each column, each value
-    as ``str`` gives it. A chunk is one batch of :func:`_batches`, one ``%`` format of its values
-    into the row template ``%s,...,%s`` repeated."""
+    as ``str`` gives it, in the chunks of :func:`_rows`."""
     yield ",".join(header) + "\n"
-    row = ",".join(["%s"] * len(columns)) + "\n"
-    for batch, values in _batches(columns):
-        yield row * len(batch[0]) % values
+    yield from _rows(",".join(["%s"] * len(columns)) + "\n", columns)
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -390,7 +365,11 @@ def _gap_section(check: NumericCheck, gap_tol: str | None, tol: Fraction | None,
 @click.option("--s", type=click.IntRange(min=2), default=2, show_default=True, help="Exponent for euler-product.")
 @click.option("--prime-bound", type=click.IntRange(1, RANGE_CEILING), default=10000, show_default=True)
 @click.option("--exp-bound", type=click.IntRange(1, RANGE_CEILING), default=16, show_default=True)
-@click.option("--x", default=None, help='Rational like "1/2"; enables the numeric product-vs-sum check.')
+@click.option("--x", default=None,
+              help='Rational like "1/2"; enables the numeric product-vs-sum check. Its gap measures '
+                   "convergence only where both sides converge absolutely: every x for lemma-a and "
+                   "lemma-c, k > t + 1 for lemma-b, |x| <= 1 (or t = 1 and |x| < 2^k) for lemma-d. "
+                   "The report does not check this.")
 @click.option("--k", type=click.IntRange(min=2), default=None,
               help="Integer exponent >= 2 for the numeric check (default 2).")
 @click.option("--gap-tol", default=None,
@@ -580,7 +559,7 @@ def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str
         "polynomial": FlatRows((map(itemgetter(0), poly.terms), map(itemgetter(1), poly.terms))),
         "eval_at_one": eval_at_one(poly),
         "expected_at_one": m + 1,
-        "pmf": FlatRows(_pmf_columns(pmf)),
+        "pmf": FlatRows(_pmf_columns(pmf), quoted=(1,)),
         "total_probability": format_rational(sum(q for _, q in pmf.support)),
         "moments": {str(r): format_rational(moment(pmf, r)) for r in (1, 2, 3, 4)},
     }

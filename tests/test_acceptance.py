@@ -12,7 +12,7 @@ from operator import and_
 import pytest
 
 from arithmos.classify import classify, exp_transform
-from arithmos.core import build_sieve, factorize, partition_count, prime_count_upto, prime_power_table, primes_upto
+from arithmos.core import partition_count, prime_power_table, primes_upto
 from arithmos.functions import constant_one, make_handle
 from arithmos.identities import (
     builtin_spec,

@@ -30,6 +30,7 @@ from arithmos.cli import (
 from arithmos.core import LOCAL_FUNCTIONS, range_values, takes_t
 from arithmos.functions import FUNCTION_IDS, INTEGER_FUNCTION_IDS, make_handle
 from arithmos.identities import LEMMA_DIRECT, builtin_spec, numeric_identity_check
+from arithmos.powerseries import format_rational
 from arithmos.waring import integer_root, verify_lemma_g
 
 
@@ -807,16 +808,6 @@ def test_report_bytes_unchanged(args, digest, code):
 # strings the encoder escapes, NUL-digit strings, and strings that are format fields
 ODD_TEXT = st.sampled_from(["\x000", "\x001", "\x00\x000", 'a"b', "\\", "\u00e9", "\x7f", "\n",
                             "%s", "%d", "%%", "{}"])
-# cells of one column: plain ints (negative too), digit strings, any text, printable ASCII
-# (which the template prints unless it holds a quote or backslash), or a mix with bools,
-# floats and None
-COLUMN_KINDS = [
-    st.integers(-10**20, 10**20),
-    st.integers(-10**6, 10**6).map(str),
-    st.text(max_size=4) | ODD_TEXT,
-    st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from('"\\%{'), max_size=3),
-    st.one_of(st.integers(-9, 9), st.text(max_size=2), st.booleans(), st.floats(allow_nan=False), st.none()),
-]
 SCALARS = st.one_of(st.integers(-10**6, 10**6), st.text(max_size=4), ODD_TEXT, st.booleans(),
                     st.floats(allow_nan=False), st.none())
 KEYS = st.text(max_size=3) | ODD_TEXT
@@ -824,19 +815,20 @@ KEYS = st.text(max_size=3) | ODD_TEXT
 PLAIN = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
                      max_leaves=8)
 
-
-# cells of a quoted column, which print as the JSON strings of their str: ints past 2**64 either way
-QUOTED_INTS = st.integers(-2**70, 2**70) | st.sampled_from([2**64, -2**64 - 1, 2**100])
+# the domain a FlatRows declares: a plain column holds ints of any sign and size, and a quoted
+# column ints or format_rational strs, which print as the JSON strings of their str
+BIG_INTS = st.integers() | st.sampled_from([2**64, -2**64 - 1, 10**100, -10**100])
+QUOTED = BIG_INTS | st.fractions().map(format_rational) | st.just(format_rational(Fraction(-10**40, 3)))
 
 
 @st.composite
 def flat_arrays(draw):
     """A FlatRows of scalar rows (one column) or pair rows (two), and the list it stands for; each
-    column is of a kind of COLUMN_KINDS or a quoted int column, which stands for its values' strs."""
+    column is plain (ints) or quoted (ints or format_rational strs, which stand for their strs)."""
     n = draw(st.integers(0, 8))
-    kinds = draw(st.lists(st.sampled_from([*COLUMN_KINDS, QUOTED_INTS]), min_size=1, max_size=2))
-    columns = [draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]
-    quoted = tuple(j for j, kind in enumerate(kinds) if kind is QUOTED_INTS)
+    quoted_flags = draw(st.lists(st.booleans(), min_size=1, max_size=2))
+    columns = [draw(st.lists(QUOTED if flag else BIG_INTS, min_size=n, max_size=n)) for flag in quoted_flags]
+    quoted = tuple(j for j, flag in enumerate(quoted_flags) if flag)
     shown = [list(map(str, column)) if j in quoted else column for j, column in enumerate(columns)]
     plain = shown[0] if len(shown) == 1 else [list(row) for row in zip(*shown)]
     return FlatRows(tuple(map(iter, columns)), quoted), plain  # columns are read once, like map objects
@@ -856,12 +848,13 @@ def report_bodies(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(report_bodies(), st.dictionaries(st.sampled_from(["m", "out", "fn", "t"]), SCALARS))
-# a quoted int column beside a text column: a first batch through the template, a second through the encoder
-@example(({"rows": FlatRows((["a", "b", "c", "\n"], [2**64, -1, 0, -2**64 - 1]), (1,))},
-          {"rows": [["a", "18446744073709551616"], ["b", "-1"], ["c", "0"], ["\n", "-18446744073709551617"]]}), {})
+# a plain int column beside a quoted one over two batches, and an escaped key beside it
+@example(({"rows": FlatRows(([2**64, -1, 0, -2**64 - 1], [2**70, "-1/3", 0, "22/7"]), (1,)), "\n": None},
+          {"rows": [[2**64, "1180591620717411303424"], [-1, "-1/3"], [0, "0"], [-2**64 - 1, "22/7"]], "\n": None}),
+         {})
 def test_flat_rows_render_as_the_json_encoder_would(case, params):
     # the report of a table invocation with these parameters, in batches of 3 rows, so that
-    # one array mixes batches of the template and of the encoder
+    # an array runs over several batches and ends inside one
     body, plain = case
     header = {"artifact": "arithmos", "version": __version__, "command": "table",
               "parameters": {("M" if name == "m" else name): value for name, value in params.items() if name != "out"}}
@@ -869,6 +862,31 @@ def test_flat_rows_render_as_the_json_encoder_would(case, params):
         ctx.params = dict(params)
         text = "".join(cli_module._structured(body))
     assert text == json.dumps({"header": header, "body": plain}, sort_keys=True, indent=2) + "\n"
+
+
+# every kind of structured report at a small size; partition's values reach 100 digits
+REAL_STRUCTURED_REPORTS = [
+    *(("table", "--fn", fn, "--nmax", "9000" if fn == "partition" else "200", "--format", "structured")
+      for fn in INTEGER_FUNCTION_IDS),
+    ("table", "--fn", "sigma", "--t", "3", "--nmax", "200", "--format", "structured"),
+    ("probnum", "--beta", "omega", "--M", "200", "--roots"),
+    ("waring", "--s", "2", "--t", "4", "--order", "60", "--check-bruteforce", "20", "--lemma-g", "2", "2",
+     "--format", "structured"),
+    ("classify", "--fn", "sigma", "--bound", "200", "--decomposable", "multiplicative"),
+    ("verify", "--identity", "lemma-a", "--nmax", "200", "--prime-bound", "20", "--exp-bound", "4", "--x", "1/2"),
+]
+
+
+@pytest.mark.parametrize("args", REAL_STRUCTURED_REPORTS, ids=" ".join)
+def test_real_structured_reports_are_what_the_encoder_writes(args):
+    # guards the FlatRows declarations: a str in a plain column, or a quoted value that needs an
+    # escape, would print text that the encoder does not write (or fail the run)
+    res = run(*args)
+    assert res.exit_code == 0, res.output
+    out = res.stdout
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+    if "partition" in args:
+        assert len(json.loads(out)["body"]["rows"][-1][1]) >= 100
 
 
 def csv_oracle(header, *columns):
