@@ -100,13 +100,9 @@ def evaluate_range(f: ArithFnHandle, bound: int) -> list[Value]:
     return values
 
 
-def _close(a: Value, b: Value) -> bool:
-    return abs(a - b) <= REAL_TOL
-
-
 def _differs(f: ArithFnHandle) -> Callable[[Value, Value], bool]:
     """The mismatch test of f's values: != for exact handles, not within REAL_TOL for real ones."""
-    return (lambda a, b: not _close(a, b)) if f.real else ne
+    return (lambda a, b: not abs(a - b) <= REAL_TOL) if f.real else ne
 
 
 # The laws by family: the operation each tests, then its complete and its coprime-only law.
@@ -139,18 +135,15 @@ def classify(f: ArithFnHandle, bound: int) -> ClassificationReport:
     while m * m <= bound and len(witnesses) < 4:
         top = bound // m
         products, row = v[m * m:m * top + 1:m], v[m:top + 1]
-        found = []  # (n, rank, law), sorted below into the order the pair scan meets them
-        for rank, (op, complete, coprime) in enumerate(_LAWS):
+        for op, complete, coprime in _LAWS:
             if coprime in witnesses:
                 continue
             bad = list(compress(count(m), map(differs, products, map(op, repeat(v[m]), row))))
             if bad and complete not in witnesses:
-                found.append((bad[0], 2 * rank, complete))
+                witnesses[complete] = (m, bad[0])
             n = next(compress(bad, map(eq, repeat(1), map(gcd, repeat(m), bad))), None)
             if n is not None:
-                found.append((n, 2 * rank + 1, coprime))
-        for n, _, law in sorted(found):
-            witnesses[law] = (m, n)
+                witnesses[coprime] = (m, n)
         m += 1
 
     return ClassificationReport(

@@ -141,13 +141,7 @@ def trial_factorize(n: int) -> Factors:
         raise ValueError(f"cannot factorize {n}; need a positive integer")
     factors = []
     m = n
-    e = 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    if e:
-        factors.append((2, e))
-    p = 3
+    p = 2
     while p * p <= m:
         if m % p == 0:
             e = 0
@@ -155,7 +149,7 @@ def trial_factorize(n: int) -> Factors:
                 m //= p
                 e += 1
             factors.append((p, e))
-        p += 2
+        p += 2 if p > 2 else 1  # 2, then the odd numbers
     if m > 1:
         factors.append((m, 1))
     return tuple(factors)

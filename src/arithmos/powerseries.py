@@ -36,11 +36,9 @@ Rational = Union[int, Fraction]
 
 def as_rational(c: Rational) -> Rational:
     """Validate an exact rational (float rejected) and collapse integral Fractions to int."""
-    if isinstance(c, bool) or isinstance(c, float):
-        raise TypeError(f"expected an exact rational (int or Fraction), got {type(c).__name__}")
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return c
     raise TypeError(f"expected an exact rational (int or Fraction), got {type(c).__name__}")
 
@@ -121,11 +119,6 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
 
 
-def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} != {b.order}")
-
-
 # struct codes (unsigned, signed) of the 1-, 2-, 4- and 8-byte slots, standard sizes under "<"
 _SLOT_CODES = {1: ("B", "b"), 2: ("H", "h"), 4: ("I", "i"), 8: ("Q", "q")}
 
@@ -189,7 +182,8 @@ def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     divided once by the product of the two scales; integral quotients stay
     ``int``.
     """
-    _check_orders(a, b)
+    if a.order != b.order:
+        raise ValueError(f"order mismatch: {a.order} != {b.order}")
     n = a.order
     va, den_a = _scaled(a.coeffs)
     vb, den_b = (va, den_a) if a is b else _scaled(b.coeffs)
@@ -226,23 +220,21 @@ def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def ps_pow(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    """k-th power by binary powering from the lowest set bit of k; k = 0 gives the series 1."""
+    """k-th power by binary powering over the bits of k, low to high; k = 0 gives the series 1.
+
+    Each bit below the highest squares the running power of ``a``; the first set bit takes
+    that power as the result, and each set bit after it multiplies it in.
+    """
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
-    if k == 0:
-        return TruncatedSeries.one(a.order)
-    base = a
-    while not k & 1:
-        base = ps_mul(base, base)
-        k >>= 1
-    result = base
-    k >>= 1
+    result = None
     while k:
-        base = ps_mul(base, base)
         if k & 1:
-            result = ps_mul(result, base)
+            result = a if result is None else ps_mul(result, a)
         k >>= 1
-    return result
+        if k:
+            a = ps_mul(a, a)
+    return TruncatedSeries.one(a.order) if result is None else result
 
 
 def ps_pow_recurrence(a: TruncatedSeries, k: int) -> TruncatedSeries:

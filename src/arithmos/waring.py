@@ -22,28 +22,22 @@ from .powerseries import TruncatedSeries, ps_mul, ps_pow
 def integer_root(m: int, s: int) -> int:
     """floor(m ** (1/s)) in pure integer arithmetic.
 
-    Newton iteration with a final correction loop; floats never enter, so
-    boundary values like exact s-th powers are never missed.
+    Integer Newton iteration from the overestimate 2^ceil(bits(m)/s): each step
+    decreases strictly until it reaches the root, where it stops. Floats never
+    enter, so boundary values like exact s-th powers are never missed.
     """
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    if m < 2 or s == 1:
-        return m
-    if s >= m.bit_length():  # 2^s > m
-        return 1
+    if s >= m.bit_length():  # m < 2^s, so the root is min(m, 1); a first step would build an s-bit power
+        return min(m, 1)
     x = 1 << ((m.bit_length() + s - 1) // s)
     while True:
         nxt = ((s - 1) * x + m // x ** (s - 1)) // s
         if nxt >= x:
-            break
+            return x
         x = nxt
-    while x**s > m:
-        x -= 1
-    while (x + 1) ** s <= m:
-        x += 1
-    return x
 
 
 def _check_even_power(s: int) -> None:

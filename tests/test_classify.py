@@ -311,6 +311,15 @@ def test_exp_transform_rejects_fractional_values():
         g.eval(5)
 
 
+def test_exp_transform_takes_integral_fractions_and_refuses_other_types():
+    # exp_transform's Fraction branch with denominator 1, and its raise for a value of no number type
+    g = exp_transform(ArithFnHandle("three", lambda n: Fraction(6, 2)), 2)
+    assert g.eval(5) == 8 and type(g.eval(5)) is int
+    text = exp_transform(ArithFnHandle("text", lambda n: "1"), 2)
+    with pytest.raises(ValueError, match=r"text\(5\) = '1' is not an integer"):
+        text.eval(5)
+
+
 def test_exp_transform_base_validated(handles):
     with pytest.raises(ValueError):
         exp_transform(handles["omega"], 1)

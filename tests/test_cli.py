@@ -265,6 +265,28 @@ def test_decimal_of_seeded_fractions_and_ties_matches_the_exact_oracle():
         assert cli_module._decimal(value) == scientific(value), value
 
 
+def test_verify_lemma_nmax_below_two_rejected():
+    # the "--nmax must be >= 2" raise of verify's lemma branch
+    res = run("verify", "--identity", "lemma-a", "--nmax", "1")
+    assert res.exit_code == 2
+    assert "--nmax must be >= 2" in res.output
+
+
+def test_verify_x_that_is_not_rational_rejected():
+    # the raise of _parse_rational_opt
+    res = run("verify", "--identity", "lemma-a", "--x", "abc")
+    assert res.exit_code == 2
+    assert "--x must be a rational like 1/2" in res.output
+
+
+def test_verify_lemma_d_power_past_the_float_range_refused_on_the_denominator_ceiling():
+    # _power's OverflowError branch: floor(log2 4)^1100 = 2^1100 is past the largest float
+    res = run("verify", "--identity", "lemma-d", "--t", "1100", "--nmax", "4", "--x", "1/2")
+    assert res.exit_code == 2
+    assert (f"floor(log2(--nmax))^--t * ln(--x) = about inf must be <= {DENOMINATOR_CEILING} "
+            "(the denominator ceiling)") in res.output
+
+
 def test_verify_exp_bound_must_be_positive():
     res = run("verify", "--identity", "lemma-a", "--nmax", "100", "--x", "1/2", "--exp-bound", "0")
     assert res.exit_code == 2

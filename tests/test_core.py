@@ -306,6 +306,18 @@ def test_prime_count_examples(sieve10k):
     )
 
 
+def test_prime_count_rejects_nonpositive():
+    # the n >= 1 raise of prime_count_upto
+    with pytest.raises(ValueError, match="need a positive integer, got 0"):
+        prime_count_upto(0)
+
+
+def test_make_handle_rejects_an_unknown_id():
+    # the unknown-id raise of make_handle
+    with pytest.raises(ValueError, match="unknown function id 'nope'"):
+        make_handle("nope")
+
+
 def test_primes_upto_helper(sieve10k):
     assert primes_upto(1) == []
     assert primes_upto(10) == [2, 3, 5, 7]

@@ -270,6 +270,14 @@ def test_truncation_parameters_validated():
         truncated_product_eval(spec, 0.5, 2, 10, 4)
 
 
+def test_sum_truncations_need_a_term():
+    # the n_max >= 1 raises of truncated_sum_eval and euler_zeta_check
+    with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+        truncated_sum_eval(builtin_spec("lemma-a"), Fraction(1, 2), 2, 0)
+    with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+        euler_zeta_check(2, 0, 10)
+
+
 def fraction_merge(terms):
     """The earlier :func:`exact_sum`: pairwise merges of ``Fraction`` terms, each node reduced."""
     work = list(terms)

@@ -60,6 +60,24 @@ def test_pow_examples():
         ps_pow(a, -1)
 
 
+def test_pow_squares_below_the_top_bit_and_multiplies_at_each_later_set_bit(monkeypatch):
+    from arithmos import powerseries
+
+    calls = []
+
+    def counted(x, y):
+        calls.append(x is y)
+        return ps_mul(x, y)
+
+    monkeypatch.setattr(powerseries, "ps_mul", counted)
+    a = TruncatedSeries.from_coeffs([1, 2, 0, -1, 3])
+    for k in range(65):
+        calls.clear()
+        assert ps_pow(a, k) == (ps_pow_recurrence(a, k) if k else TruncatedSeries.one(4)), k
+        assert calls.count(True) == max(k.bit_length() - 1, 0), k
+        assert calls.count(False) == max(bin(k).count("1") - 1, 0), k
+
+
 def test_pow_recurrence_matches_pow_binomial():
     a = TruncatedSeries.from_coeffs([1, 1, 0, 0, 0])
     assert ps_pow_recurrence(a, 4) == ps_pow(a, 4)

@@ -153,8 +153,25 @@ def test_integer_root_spot_values():
         integer_root(-1, 2)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(0, 10**9), st.integers(2, 8))
+# integer_root stops its Newton loop at the first step that does not decrease, with no
+# correction after it: these three tests check the floor property wherever that could slip
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**300 - 1), st.integers(1, 40))
 def test_integer_root_floor_property(m, s):
     r = integer_root(m, s)
     assert r**s <= m < (r + 1) ** s
+
+
+def test_integer_root_floor_exhaustive_for_small_arguments():
+    for s in range(1, 9):
+        for m in range(5000):
+            r = integer_root(m, s)
+            assert r**s <= m < (r + 1) ** s, (m, s)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 7, 8, 13, 31, 40])
+def test_integer_root_floor_beside_exact_powers(s):
+    for root in (1, 2, 3, 10, 99, 2**20 - 1, 2**20, 3**40 + 1):
+        for m in (root**s - 1, root**s, root**s + 1):
+            r = integer_root(m, s)
+            assert r**s <= m < (r + 1) ** s, (m, s)
