@@ -44,6 +44,7 @@ from .identities import (
     lemma_direct,
     numeric_identity_check,
     partition_product_check,
+    spec_table,
     verify_per_term,
 )
 from .powerseries import format_rational, parse_rational
@@ -404,21 +405,26 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
         if x_value is not None:
             _check_denominator("--k * --nmax", k_value * nmax)
             _check_denominator("--k * --exp-bound * --prime-bound", k_value * exp_bound * prime_bound)
-            # x^beta(n) in each term and x^kappa(p, a) in each factor: kappa = 1 and beta(n) = omega(n)
-            # <= floor(log2 nmax), except for lemma-d, where kappa(p, a) = a^t <= exp_bound^t and
-            # beta(n) = L_t(n) <= Omega(n)^t <= floor(log2 nmax)^t
-            lemma_d = identity == "lemma-d"
+            # x^beta(n) in each term and x^kappa(p, a) in each factor, from the spec's kappa(p, a) <= a^u:
+            # max beta(n) <= floor(log2 nmax)^max(u, 1) and max kappa(p, a) <= exp_bound^u, where a
+            # stock spec's nonzero u is its --t (L_t's a^t)
+            power = spec.kappa_power
             ln_x = log(max(abs(x_value.numerator), x_value.denominator))
             # pi(P) < 1.25506 P / ln P for P > 1 (Rosser and Schoenfeld 1962), so no sieve is built
             primes = 1.25506 * prime_bound / log(prime_bound) if prime_bound > 1 else 0
-            _check_denominator("floor(log2(--nmax))" + ("^--t" if lemma_d else "") + " * ln(--x)",
-                               _power(nmax.bit_length() - 1, t if lemma_d else 1) * ln_x)
-            _check_denominator(("--exp-bound^--t * " if lemma_d else "") + "pi(--prime-bound) * ln(--x)",
-                               (_power(exp_bound, t) if lemma_d else 1) * primes * ln_x)
-        report = verify_per_term(spec, direct_alpha, direct_beta, nmax)
+            _check_denominator("floor(log2(--nmax))" + ("^--t" if power else "") + " * ln(--x)",
+                               _power(nmax.bit_length() - 1, max(power, 1)) * ln_x)
+            _check_denominator(("--exp-bound^--t * " if power else "") + "pi(--prime-bound) * ln(--x)",
+                               _power(exp_bound, power) * primes * ln_x)
+        # without --x each spec table is built as the per-term check reaches it, and dropped with it;
+        # with --x both checks read one list of the two, which the numeric sum empties
+        tables = spec_table(spec, nmax)
+        if x_value is not None:
+            tables = list(tables)
+        report = verify_per_term(tables, direct_alpha, direct_beta, nmax)
         body["per_term"] = _per_term_section(report, spec=spec.name, n_max=nmax)
         if x_value is not None:
-            num = numeric_identity_check(spec, x_value, k_value, prime_bound, exp_bound, nmax)
+            num = numeric_identity_check(spec, tables, x_value, k_value, prime_bound, exp_bound)
             body["numeric"] = _gap_section(num, gap_tol, gap_tol_value, x=format_rational(x_value), k=k_value,
                                            prime_bound=prime_bound, exp_bound=exp_bound, n_max=nmax)
     elif identity == "euler-product":

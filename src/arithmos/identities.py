@@ -14,12 +14,16 @@ over the prime powers exactly dividing n, and with them the formal identity
 
 Each side is checked two independent ways: per-term exact agreement of
 :func:`spec_table`, a prime-power sieve over theta and kappa, with the
-direct functions' range tables for every n up to a bound (the
-combinatorial content of the identity — every summand arises from one
-choice of one term per prime), and numeric agreement of exact rational
-truncations of both sides. Their gap shrinks as the bounds grow only where
-both sides converge at the chosen x and k: k >= 2 is needed but not
-enough, since lemma-b, for one, diverges unless k > t + 1.
+direct functions' range tables for every n up to a bound, and numeric
+agreement of exact rational truncations of both sides. The per-term check
+tests the identity's combinatorics (every summand arises from one choice
+of one term per prime), not the prime-power rules: a stock spec's theta
+and kappa are its direct functions' rules, so both sides are built from
+the same rule. One run builds the spec's alpha and beta tables once, and
+with a numeric check the per-term check and :func:`truncated_sum_eval`
+read the same two lists. The gap of the truncations shrinks as the bounds
+grow only where both sides converge at the chosen x and k: k >= 2 is
+needed but not enough, since lemma-b, for one, diverges unless k > t + 1.
 
 The classical zeta product and the partition generating product are kept
 alongside as self-contained oracles.
@@ -31,7 +35,7 @@ from fractions import Fraction
 from itertools import chain, compress, count, islice
 from math import gcd, isqrt
 from operator import add, mul, ne
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .classify import ArithFnHandle, evaluate_range
 from .core import (
@@ -47,11 +51,19 @@ from .powerseries import Rational, TruncatedSeries, as_rational
 
 
 class LocalFactorSpec(NamedTuple):
-    """Prime-local data (theta, kappa) defined on primes p and exponents a >= 1."""
+    """Prime-local data (theta, kappa) defined on primes p and exponents a >= 1.
+
+    ``kappa_power``, when stated, is a u >= 0 with 0 <= kappa(p, a) <= a^u for
+    every p and a, which bounds the powers of x that a run can reach: max
+    kappa(p, a) over a <= A is at most A^u, and max beta(n) over 1..N at most
+    floor(log2 N)^max(u, 1), since beta(n) <= Omega(n)^max(u, 1) and
+    Omega(n) <= log2 n. Every stock spec states it.
+    """
 
     name: str
     theta: Callable[[int, int], Rational]
     kappa: Callable[[int, int], int]
+    kappa_power: int | None = None
 
 
 class NumericCheck(NamedTuple):
@@ -72,9 +84,15 @@ class IdentityCheckReport(NamedTuple):
         return not self.per_term_failures
 
 
-def spec_table(spec: LocalFactorSpec, n_max: int) -> tuple[list[Rational], list[int]]:
-    """``(alpha, beta)`` over ``0..n_max``; n = 1 and the padding at 0 give (1, 0)."""
-    return prime_power_table(n_max, spec.theta, mul, 1), prime_power_table(n_max, spec.kappa, add, 0)
+def spec_table(spec: LocalFactorSpec, n_max: int) -> Iterator[list]:
+    """alpha, then beta, over ``0..n_max``, each built by :func:`~arithmos.core.prime_power_table`
+    when it is asked for; n = 1 and the padding at 0 give (1, 0).
+
+    A check that reads the two tables one at a time takes the iterator, so the first table
+    can be freed before the second is built; one that reads both takes ``list(spec_table(...))``.
+    """
+    yield prime_power_table(n_max, spec.theta, mul, 1)
+    yield prime_power_table(n_max, spec.kappa, add, 0)
 
 
 #: The direct functions of each stock spec: identity id -> (alpha function id,
@@ -121,26 +139,31 @@ def builtin_spec(which: str, t: int | None = None) -> LocalFactorSpec:
         raise ValueError(f"{which} needs an integer parameter t >= {least}")
     theta, kappa = ((lambda p, a: 1) if fn_id is None else local_function(fn_id, fn_t)[0]
                     for fn_id, fn_t in lemma_direct(which, t))
-    return LocalFactorSpec(which if t is None else f"{which}(t={t})", theta, kappa)
+    # kappa(p, a) = a^u: omega's 1 is a^0, and L_t's a^t
+    kappa_power = {"omega": 0, "L": t}[LEMMA_DIRECT[which][1]]
+    return LocalFactorSpec(which if t is None else f"{which}(t={t})", theta, kappa, kappa_power)
 
 
 def verify_per_term(
-    spec: LocalFactorSpec,
+    tables: Iterable[list],
     direct_alpha: ArithFnHandle,
     direct_beta: ArithFnHandle,
     n_max: int,
 ) -> IdentityCheckReport:
-    """Exact check that (alpha, beta) equal the direct functions for 2 <= n <= n_max."""
+    """Exact check that a spec's (alpha, beta) equal the direct functions for 2 <= n <= n_max.
+
+    ``tables`` gives the spec's alpha, then its beta, over at least ``0..n_max``, as
+    :func:`spec_table` does. Each spec table is asked for after its direct table is built and
+    dropped with it, so from :func:`spec_table`'s iterator two of the four are alive at once.
+    """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    # the direct side comes from the functions' range tables, the spec side from theta and kappa;
-    # alpha's pair of tables is dropped before beta's is built, so two of the four are alive at once
     failures = set()
-    for direct, local, combine, unit in ((direct_alpha, spec.theta, mul, 1), (direct_beta, spec.kappa, add, 0)):
+    tables = iter(tables)
+    for direct in (direct_alpha, direct_beta):
         want = evaluate_range(direct, n_max)
-        got = prime_power_table(n_max, local, combine, unit)
-        mismatches = map(ne, islice(got, 2, None), islice(want, 2, n_max + 1))
-        failures.update(compress(count(2), mismatches))
+        got = next(tables)
+        failures.update(compress(count(2), map(ne, islice(got, 2, None), islice(want, 2, n_max + 1))))
         del want, got
     return IdentityCheckReport(tuple(sorted(failures)))
 
@@ -231,13 +254,12 @@ def _sum_order(n_max: int) -> Iterator[int]:
     return chain((1,), largest_prime_factor_order(n_max))
 
 
-def truncated_sum_eval(
-    spec: LocalFactorSpec,
-    x: Rational,
-    k: int,
-    n_max: int,
-) -> Fraction:
+def truncated_sum_eval(tables: list[list], x: Rational, k: int) -> Fraction:
     """Exact value of 1 + sum_{n=2..n_max} alpha(n) x^beta(n) / n^k, as one :func:`exact_sum`.
+
+    ``tables`` is the list ``[alpha, beta]`` over ``0..n_max``, as ``list(spec_table(spec,
+    n_max))`` gives it. The sum takes both tables out of the list, which it leaves empty, and
+    drops them once its pair lists are built, so that they are freed before the merge.
 
     With x^b = u/v in lowest terms, v > 0, for each value b of beta, the
     term of n is the int pair (alpha(n) u, n^k v), a ``Fraction`` alpha(n)
@@ -250,10 +272,12 @@ def truncated_sum_eval(
     """
     if k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k}")
+    alpha, beta = tables
+    tables.clear()
+    n_max = len(alpha) - 1
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     xf = Fraction(as_rational(x))
-    alpha, beta = spec_table(spec, n_max)
     powers = {b: (xb.numerator, xb.denominator) for b, xb in ((b, xf**b) for b in set(beta))}
     nums = [alpha[n].numerator * powers[beta[n]][0] for n in _sum_order(n_max)]
     dens = [alpha[n].denominator * n**k * powers[beta[n]][1] for n in _sum_order(n_max)]
@@ -263,15 +287,17 @@ def truncated_sum_eval(
 
 def numeric_identity_check(
     spec: LocalFactorSpec,
+    tables: list[list],
     x: Rational,
     k: int,
     prime_bound: int,
     exp_bound: int,
-    n_max: int,
 ) -> NumericCheck:
-    """Evaluate both truncations and report their exact absolute gap."""
+    """Evaluate both truncations and report their exact absolute gap: the product from the
+    spec's theta and kappa, the sum from ``tables``, the spec's ``[alpha, beta]`` over
+    ``0..n_max``, which :func:`truncated_sum_eval` empties."""
     # the sum's lists are the memory peak; built first, they reuse no heap the product left fragmented
-    rhs = truncated_sum_eval(spec, x, k, n_max)
+    rhs = truncated_sum_eval(tables, x, k)
     lhs = truncated_product_eval(spec, x, k, prime_bound, exp_bound)
     return NumericCheck(lhs, rhs, abs(lhs - rhs))
 

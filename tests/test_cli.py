@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -29,7 +30,7 @@ from arithmos.cli import (
 )
 from arithmos.core import LOCAL_FUNCTIONS, range_values, takes_t
 from arithmos.functions import FUNCTION_IDS, INTEGER_FUNCTION_IDS, make_handle
-from arithmos.identities import LEMMA_DIRECT, builtin_spec, numeric_identity_check
+from arithmos.identities import LEMMA_DIRECT, builtin_spec, numeric_identity_check, spec_table
 from arithmos.powerseries import format_rational
 from arithmos.waring import integer_root, verify_lemma_g
 
@@ -233,7 +234,8 @@ def test_verify_values_outside_the_float_range_printed_exactly(identity, t, x, p
     res = run(*args)
     assert res.exit_code == code, res.output
     numeric = body_of(res)["numeric"]
-    check = numeric_identity_check(builtin_spec(identity, t=t), Fraction(x), 2, prime_bound, exp_bound, nmax)
+    spec = builtin_spec(identity, t=t)
+    check = numeric_identity_check(spec, list(spec_table(spec, nmax)), Fraction(x), 2, prime_bound, exp_bound)
     assert not all(sys.float_info.min <= value <= sys.float_info.max for value in check)
     assert [numeric["product"], numeric["sum"], numeric["gap"]] == list(map(scientific, check))
     assert numeric["passed"] is (None if gap_tol is None else check.gap <= Fraction(gap_tol))
@@ -302,8 +304,46 @@ def test_verify_euler_product():
     assert body_of(res)["euler"]["passed"] is True
 
 
+class _Table(list):
+    """A table that a weakref can point to."""
+
+
+@pytest.mark.parametrize("args, alive_at_build", [
+    (("verify", "--identity", "lemma-b", "--t", "2", "--nmax", "2000"), [[], [False]]),
+    (("verify", "--identity", "lemma-a", "--nmax", "2000", "--x", "1/2", "--prime-bound", "100",
+      "--exp-bound", "8"), [[], [True]]),
+], ids=["per-term only", "with --x"])
+def test_verify_builds_each_spec_table_once(monkeypatch, args, alive_at_build):
+    # every spec table of a lemma run comes from prime_power_table: with --x the per-term check
+    # and the numeric sum read the same alpha and beta, and without it alpha is freed before
+    # beta is built; the report bytes stay pinned
+    from arithmos import identities
+
+    real = identities.prime_power_table
+    refs, alive = [], []
+
+    def tracked(*table_args):
+        alive.append([ref() is not None for ref in refs])
+        table = _Table(real(*table_args))
+        refs.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(identities, "prime_power_table", tracked)
+    res = run(*args)
+    assert res.exit_code == 0
+    assert alive == alive_at_build
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == dict(REPORT_SHA256)[args]
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("a refused request must not start its work")
+
+
+def _refuse_work(monkeypatch, *names):
+    """Make each named function of the CLI, and every spec table, fail the test if it is called."""
+    for name in names:
+        monkeypatch.setattr(f"arithmos.cli.{name}", _no_work)
+    monkeypatch.setattr("arithmos.identities.prime_power_table", _no_work)
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -320,8 +360,8 @@ def _no_work(*args, **kwargs):
 ])
 def test_verify_unread_flag_rejected(monkeypatch, tmp_path, identity, flag, value, source):
     # a flag that the identity never reads exits 2 naming it, before any check runs
-    for name in ("verify_per_term", "numeric_identity_check", "euler_zeta_check", "partition_product_check"):
-        monkeypatch.setattr(f"arithmos.cli.{name}", _no_work)
+    _refuse_work(monkeypatch, "spec_table", "verify_per_term", "numeric_identity_check", "euler_zeta_check",
+                 "partition_product_check")
     if source == "flag":
         res = run("verify", "--identity", identity, flag, value)
     else:
@@ -353,13 +393,33 @@ def test_verify_unread_flag_rejected(monkeypatch, tmp_path, identity, flag, valu
      "--gap-tol"),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
 def test_value_below_its_flag_range_rejected(monkeypatch, args, flag):
-    for name in ("verify_per_term", "numeric_identity_check", "euler_zeta_check", "partition_product_check",
-                 "waring_counts", "verify_lemma_g", "run_classification"):
-        monkeypatch.setattr(f"arithmos.cli.{name}", _no_work)
+    _refuse_work(monkeypatch, "spec_table", "verify_per_term", "numeric_identity_check", "euler_zeta_check",
+                 "partition_product_check", "waring_counts", "verify_lemma_g", "run_classification")
     res = run(*args)
     assert res.exit_code == 2
     assert res.stdout == ""
     assert f"Invalid value for '{flag}'" in res.stderr
+
+
+@pytest.mark.parametrize("args, size", [
+    (("--identity", "lemma-a", "--x", "1/2", "--nmax", "300000"), "--k * --nmax = 600000"),
+    (("--identity", "lemma-b", "--t", "1", "--x", "1/2", "--exp-bound", "100", "--prime-bound", "3000"),
+     "--k * --exp-bound * --prime-bound = 600000"),
+    (("--identity", "lemma-d", "--t", "9", "--x", "1/2", "--nmax", "100", "--prime-bound", "10",
+      "--exp-bound", "4"), "floor(log2(--nmax))^--t * ln(--x) = about 6.99e+06"),
+    (("--identity", "lemma-d", "--t", "3", "--x", "1/2"),
+     "--exp-bound^--t * pi(--prime-bound) * ln(--x) = about 3.87e+06"),
+    (("--identity", "lemma-c", "--x", f"1/{3**1500}", "--nmax", "2000", "--exp-bound", "4"),
+     "pi(--prime-bound) * ln(--x) = about 2.25e+06"),
+], ids=["sum", "product", "sum x-power lemma-d", "product x-power lemma-d", "product x-power"])
+def test_verify_denominator_ceiling_refused_before_any_table(monkeypatch, args, size):
+    # each estimate of a lemma --x run refuses it (exit 2) before the spec tables or a check start
+    _refuse_work(monkeypatch, "spec_table", "verify_per_term", "numeric_identity_check")
+    monkeypatch.setattr("arithmos.functions.range_values", _no_work)
+    res = run("verify", *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"{size} must be <= {DENOMINATOR_CEILING} (the denominator ceiling)" in res.stderr
 
 
 # --- classify ----------------------------------------------------------------

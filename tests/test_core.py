@@ -1,7 +1,9 @@
 import tracemalloc
 from bisect import bisect_right
 from functools import lru_cache, partial
+from itertools import repeat
 from math import gcd, isqrt
+from operator import add, mul, neg
 
 import pytest
 
@@ -20,7 +22,7 @@ from arithmos.core import (
     trial_factorize,
 )
 from arithmos.functions import make_handle
-from arithmos.identities import builtin_spec, verify_per_term
+from arithmos.identities import LocalFactorSpec, builtin_spec, spec_table, verify_per_term
 
 
 # --- independent oracles ---------------------------------------------------
@@ -397,6 +399,77 @@ def test_range_values_match_factorize_everywhere(sieve100k):
         assert not bad, (fn_id, t, bad[:5])
 
 
+# --- the rules against routes that read none of them ---------------------------------------------
+
+# d = 1 * 1, sigma_t = 1 * id_t and phi = mu * id by Dirichlet convolution of n-level data, and
+# omega, Omega and L_t by their "divides" forms; none of them calls a rule of core.LOCAL_FUNCTIONS,
+# so each checks the rule that range_values and spec_table both read
+ROUTE_LIMIT = 10**5
+
+
+def mobius_table(limit):
+    """mu over 0..limit from its squarefree definition: one sign flip per prime dividing n, and 0
+    at every multiple of a prime square."""
+    mu = [1] * (limit + 1)
+    for p in primes_upto(limit):
+        mu[p::p] = map(neg, mu[p::p])
+        mu[p * p::p * p] = [0] * (limit // (p * p))
+    return mu
+
+
+def dirichlet(f, g):
+    """(f * g)(n) = sum over d | n of f(d) g(n/d), for lists f and g over 0..N, as a harmonic loop:
+    for each d with f(d) != 0, one slice adds f(d) g(1..N/d) to the multiples of d."""
+    limit = len(f) - 1
+    v = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        if f[d]:
+            row = g[1:limit // d + 1]
+            v[d::d] = map(add, v[d::d], row if f[d] == 1 else map(mul, repeat(f[d]), row))
+    return v
+
+
+def divides_table(limit, w):
+    """beta over 0..limit from its "divides" form, beta(n) = sum of w(a) - w(a - 1) over every prime
+    power p^a dividing n, w(0) = 0: one slice per prime power."""
+    v = [0] * (limit + 1)
+    for p in primes_upto(limit):
+        q, a = p, 1
+        while q <= limit:
+            v[q::q] = map(add, v[q::q], repeat(w(a) - w(a - 1)))
+            q, a = q * p, a + 1
+    return v
+
+
+INDEPENDENT_ROUTES = [
+    ("d", None, lambda n: dirichlet([0] + [1] * n, [0] + [1] * n)),
+    *(("sigma", t, lambda n, t=t: dirichlet([0] + [1] * n, [m**t for m in range(n + 1)])) for t in range(4)),
+    ("phi", None, lambda n: dirichlet(mobius_table(n), list(range(n + 1)))),
+    ("omega", None, lambda n: divides_table(n, lambda a: min(a, 1))),
+    ("bigomega", None, lambda n: divides_table(n, lambda a: a)),
+    *(("L", t, lambda n, t=t: divides_table(n, lambda a: a**t)) for t in (1, 2, 3)),
+]
+
+
+def first_difference(got, want):
+    return next((n for n, (u, v) in enumerate(zip(got, want), 1) if u != v), None)
+
+
+@pytest.mark.parametrize("fn_id, t, route", INDEPENDENT_ROUTES,
+                         ids=[fn_id if t is None else f"{fn_id}_{t}" for fn_id, t, _ in INDEPENDENT_ROUTES])
+def test_rules_match_a_route_that_reads_no_rule(sieve100k, fn_id, t, route):
+    # over 1..ROUTE_LIMIT: the spf walk of range_values, and the spec table of a spec whose theta
+    # (multiplicative id) or kappa (additive id) is the id's rule
+    want = route(ROUTE_LIMIT)[1:]
+    rule, additive = local_function(fn_id, t)
+    one = lambda p, a: 1
+    alpha, beta = spec_table(LocalFactorSpec(fn_id, one if additive else rule, rule if additive else one),
+                             ROUTE_LIMIT)
+    for route_name, got in (("range_values", range_values(fn_id, ROUTE_LIMIT, t)[1:]),
+                            ("spec_table", (beta if additive else alpha)[1:])):
+        assert got == want, (route_name, first_difference(got, want))
+
+
 def test_handle_eval_matches_factorize_oracles(sieve10k):
     # the per-n eval folds the rule over factorize, so beyond the sieve it trial-divides
     beyond = (97**20, 2**40 * 3**5, 1009 * 10007**3)
@@ -494,7 +567,7 @@ def test_per_term_broken_direct_handle_reports_n(sieve10k):
         return distinct_prime_count(factorize(n))
 
     with pytest.raises(EvaluationError) as err:
-        verify_per_term(builtin_spec("lemma-c"), make_handle("d"),
+        verify_per_term(spec_table(builtin_spec("lemma-c"), 100), make_handle("d"),
                         ArithFnHandle("broken", broken), 100)
     assert err.value.n == 37
     assert err.value.name == "broken"

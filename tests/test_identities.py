@@ -46,7 +46,7 @@ def at(spec, n):
 def test_alpha_beta_empty_factorization():
     spec = builtin_spec("lemma-b", t=1)
     assert at(spec, 1) == (1, 0)
-    assert spec_table(spec, 0) == ([1], [0])
+    assert list(spec_table(spec, 0)) == [[1], [0]]
 
 
 def test_alpha_beta_divisor_sum_weight():
@@ -137,7 +137,7 @@ def test_report_passes_iff_no_failures():
 def test_per_term_divisor_sum_identity(sieve10k):
     spec = builtin_spec("lemma-b", t=1)
     report = verify_per_term(
-        spec,
+        spec_table(spec, 1000),
         make_handle("sigma", t=1),
         make_handle("omega"),
         1000,
@@ -149,7 +149,7 @@ def test_per_term_divisor_sum_identity(sieve10k):
 def test_per_term_exponent_power_identity(sieve10k):
     spec = builtin_spec("lemma-d", t=2)
     report = verify_per_term(
-        spec, constant_one(), make_handle("L", t=2), 1000
+        spec_table(spec, 1000), constant_one(), make_handle("L", t=2), 1000
     )
     assert report.passed
 
@@ -158,7 +158,7 @@ def test_per_term_negative_control(sieve10k):
     # deliberately wrong reference: distinct-prime exponent vs with-multiplicity
     spec = builtin_spec("lemma-a")
     report = verify_per_term(
-        spec, constant_one(), make_handle("bigomega"), 100
+        spec_table(spec, 100), constant_one(), make_handle("bigomega"), 100
     )
     assert not report.passed
     assert report.per_term_failures[0] == 4
@@ -195,14 +195,14 @@ def test_per_term_matches_the_generator_scan(sieve10k):
         (2, 97, n_max): (planted(sigma, [2, n_max]), planted(omega, [97, n_max])),
     }
     for failures, (alpha, beta) in cases.items():
-        got = verify_per_term(spec, alpha, beta, n_max)
+        got = verify_per_term(spec_table(spec, n_max), alpha, beta, n_max)
         assert got == per_term_scan(spec, alpha, beta, n_max)
         assert got.per_term_failures == failures
 
 
 def test_per_term_range_validated(sieve10k):
     with pytest.raises(ValueError):
-        verify_per_term(builtin_spec("lemma-a"), constant_one(), constant_one(), 1)
+        verify_per_term(spec_table(builtin_spec("lemma-a"), 1), constant_one(), constant_one(), 1)
 
 
 def test_alpha_multiplicative_beta_additive_by_construction():
@@ -231,13 +231,13 @@ def test_product_at_zero_x():
 
 def test_sum_with_empty_range_is_one():
     spec = builtin_spec("lemma-a")
-    assert truncated_sum_eval(spec, Fraction(1, 2), 2, 1) == 1
+    assert truncated_sum_eval(list(spec_table(spec, 1)), Fraction(1, 2), 2) == 1
 
 
 def test_sum_at_x_one_matches_zeta_truncation(sieve10k):
     # with x = 1 every term is 1/n^k regardless of the exponent function
     spec = builtin_spec("lemma-a")
-    val = truncated_sum_eval(spec, 1, 2, 10)
+    val = truncated_sum_eval(list(spec_table(spec, 10)), 1, 2)
     assert val == exact_sum([1] * 10, [n * n for n in range(1, 11)])
     assert val == Fraction(1968329, 1270080)
 
@@ -245,14 +245,14 @@ def test_sum_at_x_one_matches_zeta_truncation(sieve10k):
 def test_numeric_gap_example(sieve10k):
     # frozen from an independent computation of both truncations
     spec = builtin_spec("lemma-a")
-    check = numeric_identity_check(spec, Fraction(1, 2), 2, 100, 20, 10**4)
+    check = numeric_identity_check(spec, list(spec_table(spec, 10**4)), Fraction(1, 2), 2, 100, 20)
     assert math.isclose(float(check.gap), 1.160744841252539e-3, rel_tol=1e-9)
 
 
 def test_numeric_gap_shrinks_with_bounds(sieve10k):
     spec = builtin_spec("lemma-c")
-    small = numeric_identity_check(spec, Fraction(1, 2), 3, 50, 8, 1000)
-    large = numeric_identity_check(spec, Fraction(1, 2), 3, 200, 16, 4000)
+    small = numeric_identity_check(spec, list(spec_table(spec, 1000)), Fraction(1, 2), 3, 50, 8)
+    large = numeric_identity_check(spec, list(spec_table(spec, 4000)), Fraction(1, 2), 3, 200, 16)
     assert large.gap <= small.gap
 
 
@@ -261,11 +261,11 @@ def test_truncation_parameters_validated():
     with pytest.raises(ValueError):
         truncated_product_eval(spec, Fraction(1, 2), 1, 10, 4)
     with pytest.raises(ValueError):
-        truncated_sum_eval(spec, Fraction(1, 2), 1, 10)
+        truncated_sum_eval(list(spec_table(spec, 10)), Fraction(1, 2), 1)
     with pytest.raises(ValueError):
         truncated_product_eval(spec, Fraction(1, 2), 2, 10, 0)
     with pytest.raises(TypeError):
-        truncated_sum_eval(spec, 0.5, 2, 10)
+        truncated_sum_eval(list(spec_table(spec, 10)), 0.5, 2)
     with pytest.raises(TypeError):
         truncated_product_eval(spec, 0.5, 2, 10, 4)
 
@@ -273,7 +273,7 @@ def test_truncation_parameters_validated():
 def test_sum_truncations_need_a_term():
     # the n_max >= 1 raises of truncated_sum_eval and euler_zeta_check
     with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
-        truncated_sum_eval(builtin_spec("lemma-a"), Fraction(1, 2), 2, 0)
+        truncated_sum_eval(list(spec_table(builtin_spec("lemma-a"), 0)), Fraction(1, 2), 2)
     with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
         euler_zeta_check(2, 0, 10)
 
@@ -345,7 +345,7 @@ def test_euler_zeta_sum_matches_the_fraction_merge():
 def test_truncated_sum_matches_the_grouped_sum_at_benchmark_size():
     spec = builtin_spec("lemma-b", t=1)
     x = Fraction(4, 9)
-    assert truncated_sum_eval(spec, x, 2, 2 * 10**4) == grouped_sum(spec, x, 2, 2 * 10**4)
+    assert truncated_sum_eval(list(spec_table(spec, 2 * 10**4)), x, 2) == grouped_sum(spec, x, 2, 2 * 10**4)
 
 
 def test_truncated_sum_matches_the_grouped_sum_on_small_cases():
@@ -361,8 +361,8 @@ def test_truncated_sum_matches_the_grouped_sum_on_small_cases():
         for x in xs:
             for k in (2, 3):
                 for n_max in (1, 2, 3, 64, 301):
-                    assert truncated_sum_eval(spec, x, k, n_max) == grouped_sum(spec, x, k, n_max), (
-                        spec.name, x, k, n_max)
+                    got = truncated_sum_eval(list(spec_table(spec, n_max)), x, k)
+                    assert got == grouped_sum(spec, x, k, n_max), (spec.name, x, k, n_max)
 
 
 def test_truncated_sum_matches_the_grouped_sum_with_negative_kappa():
@@ -374,21 +374,22 @@ def test_truncated_sum_matches_the_grouped_sum_with_negative_kappa():
     for x in (Fraction(-3, 5), 1, -2, Fraction(7, 4)):
         for k in (2, 3):
             for n_max in (1, 2, 3, 64, 301):
-                assert truncated_sum_eval(spec, x, k, n_max) == grouped_sum(spec, x, k, n_max), (x, k, n_max)
-    check = numeric_identity_check(spec, Fraction(-3, 5), 2, 50, 6, 300)
+                got = truncated_sum_eval(list(spec_table(spec, n_max)), x, k)
+                assert got == grouped_sum(spec, x, k, n_max), (x, k, n_max)
+    check = numeric_identity_check(spec, list(spec_table(spec, 300)), Fraction(-3, 5), 2, 50, 6)
     assert check.gap == abs(check.lhs - grouped_sum(spec, Fraction(-3, 5), 2, 300))
-    assert truncated_sum_eval(spec, 0, 2, 1) == 1
+    assert truncated_sum_eval(list(spec_table(spec, 1)), 0, 2) == 1
     for n_max in (2, 64):
         with pytest.raises(ZeroDivisionError):
             grouped_sum(spec, 0, 2, n_max)
         with pytest.raises(ZeroDivisionError):
-            truncated_sum_eval(spec, 0, 2, n_max)
+            truncated_sum_eval(list(spec_table(spec, n_max)), 0, 2)
 
 
 def test_truncated_sum_matches_the_grouped_sum_at_lemma_a_benchmark_size():
     spec = builtin_spec("lemma-a")
     x = Fraction(5, 8)
-    assert truncated_sum_eval(spec, x, 2, 3 * 10**4) == grouped_sum(spec, x, 2, 3 * 10**4)
+    assert truncated_sum_eval(list(spec_table(spec, 3 * 10**4)), x, 2) == grouped_sum(spec, x, 2, 3 * 10**4)
 
 
 def test_sums_pass_their_terms_in_largest_prime_factor_order(monkeypatch):
@@ -396,7 +397,7 @@ def test_sums_pass_their_terms_in_largest_prime_factor_order(monkeypatch):
     monkeypatch.setattr("arithmos.identities.exact_sum",
                         lambda nums, dens: calls.append((list(nums), list(dens))) or Fraction(0))
     order = [1, *largest_prime_factor_order(500)]
-    truncated_sum_eval(builtin_spec("lemma-a"), 1, 3, 500)
+    truncated_sum_eval(list(spec_table(builtin_spec("lemma-a"), 500)), 1, 3)
     euler_zeta_check(2, 500, 10)
     assert calls == [([1] * 500, [n**3 for n in order]), ([1] * 500, [n**2 for n in order])]
 
@@ -418,13 +419,13 @@ nonzero_x = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(drawn_specs, nonzero_x, st.integers(2, 3), st.integers(1, 400))
 def test_ordered_sum_matches_both_oracles_on_drawn_specs(spec, x, k, n_max):
-    got = truncated_sum_eval(spec, x, k, n_max)
+    got = truncated_sum_eval(list(spec_table(spec, n_max)), x, k)
     assert got == grouped_sum(spec, x, k, n_max)
     alpha, beta = spec_table(spec, n_max)
     assert got == fraction_merge(Fraction(alpha[n]) * x ** beta[n] / n**k for n in range(1, n_max + 1))
     if min(beta) < 0:
         with pytest.raises(ZeroDivisionError):
-            truncated_sum_eval(spec, 0, k, n_max)
+            truncated_sum_eval(list(spec_table(spec, n_max)), 0, k)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -587,7 +588,7 @@ def test_per_term_propagates_evaluation_failure(sieve10k):
 
     with pytest.raises(EvaluationError) as err:
         verify_per_term(
-            builtin_spec("lemma-a"),
+            spec_table(builtin_spec("lemma-a"), 100),
             ArithFnHandle("broken", broken),
             make_handle("omega"),
             100,
