@@ -11,45 +11,36 @@ decimals.
 Exit codes: 0 success / all checks passed, 1 runtime failure (reported as
 ``error: <message>`` on stderr) or a failed check (the report is still
 written), 2 bad arguments.
+
+A process loads what its subcommand runs and no more: at module level this
+imports only ``click``, what ``click`` itself loads, and :mod:`arithmos.core`,
+whose id tables give the options their choices. Each command body and helper
+imports the library functions it calls, and ``json``, ``fractions`` and
+``dataclasses``, from their defining modules where it calls them, so
+``--version`` and ``--help`` load no other module of the package.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import replace
-from fractions import Fraction
 from itertools import islice
 from math import floor, inf, log, log10
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import click
 
 from . import __version__
-from .classify import classify as run_classification
-from .classify import ArithFnHandle, evaluate_range, verify_decomposable
-from .core import LOCAL_FUNCTIONS, takes_t
-from .functions import FUNCTION_IDS, INTEGER_FUNCTION_IDS, constant_one, make_handle
-from .identities import (
-    BUILTIN_SPEC_IDS,
-    LEMMA_DIRECT,
-    LEMMA_LEAST_T,
-    IdentityCheckReport,
-    NumericCheck,
-    builtin_spec,
-    euler_zeta_check,
-    lemma_direct,
-    numeric_identity_check,
-    partition_product_check,
-    spec_table,
-    verify_per_term,
-)
-from .powerseries import format_rational, parse_rational
-from .probnum import build_polynomial, eval_at_one, moment, normalize, shifted_sign_scan
-from .waring import brute_force_count, integer_root, verify_lemma_g, waring_counts
+from .core import (BUILTIN_SPEC_IDS, FUNCTION_IDS, INTEGER_FUNCTION_IDS, LEMMA_DIRECT, LEMMA_LEAST_T, LOCAL_FUNCTIONS,
+                   takes_t)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .classify import ArithFnHandle
+    from .identities import IdentityCheckReport, NumericCheck
 
 IDENTITY_IDS = BUILTIN_SPEC_IDS + ("euler-product", "partition-product")
 
@@ -133,6 +124,8 @@ def _usage(setup, *args, **kwargs):
 def _handle(fn_id: str, t: int | None, flag: str, size: int, power: int = 1, terms: int = 1) -> ArithFnHandle:
     """The handle of a function flag over 1..``size``, after the checks that refuse it (exit 2): the
     partition ceiling on ``flag``, make_handle's, and with a t the digit estimate of sigma_t or L_t."""
+    from .functions import make_handle
+
     if fn_id == "partition":
         _check_partition(size, flag)
     handle = _usage(make_handle, fn_id, t=t)
@@ -213,6 +206,8 @@ def _structured(body: dict) -> Iterator[str]:
     """The report of the running subcommand, as JSON text chunks: ``json.dumps({"body": body,
     "header": header}, sort_keys=True, indent=2)`` and a newline, where a value of ``body`` may be
     a FlatRows in place of a list. The header's parameters are the invocation's, less ``out``."""
+    import json
+
     ctx = click.get_current_context()
     header = {
         "artifact": "arithmos",
@@ -261,6 +256,10 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 def _parse_rational_opt(raw: str | None, flag: str) -> Fraction | None:
     if raw is None:
         return None
+    from fractions import Fraction
+
+    from .powerseries import parse_rational
+
     try:
         return Fraction(parse_rational(raw))
     except (ValueError, ZeroDivisionError) as exc:
@@ -319,6 +318,8 @@ class _Group(click.Group):
 def cli(ctx: click.Context, config: str | None) -> None:
     """Exact-arithmetic number theory toolkit."""
     if config:
+        import json
+
         with open(config, encoding="utf-8") as fh:
             try:
                 ctx.default_map = _normalize_config(json.load(fh), ctx.command.commands)
@@ -334,6 +335,8 @@ def cli(ctx: click.Context, config: str | None) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Output file (default: stdout).")
 def table(fn: str, t: int | None, nmax: int, format: str, out: str | None) -> None:
     """Write (n, f(n)) rows for n = 1..NMAX."""
+    from .classify import evaluate_range
+
     handle = _handle(fn, t, "--nmax", nmax)
     values = evaluate_range(handle, nmax)
     if format == "csv":
@@ -395,6 +398,10 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
     body: dict = {}
 
     if lemma:
+        from .functions import constant_one
+        from .identities import builtin_spec, lemma_direct, numeric_identity_check, spec_table, verify_per_term
+        from .powerseries import format_rational
+
         if nmax < 2:
             raise click.UsageError("--nmax must be >= 2")
         spec = _usage(builtin_spec, identity, t=t)
@@ -428,11 +435,15 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
             body["numeric"] = _gap_section(num, gap_tol, gap_tol_value, x=format_rational(x_value), k=k_value,
                                            prime_bound=prime_bound, exp_bound=exp_bound, n_max=nmax)
     elif identity == "euler-product":
+        from .identities import euler_zeta_check
+
         _check_denominator("--s * --nmax", s * nmax)
         _check_denominator("--s * --prime-bound", s * prime_bound)
         check = euler_zeta_check(s, nmax, prime_bound)
         body["euler"] = _gap_section(check, gap_tol, gap_tol_value, s=s, n_max=nmax, prime_bound=prime_bound)
     else:  # partition-product
+        from .identities import partition_product_check
+
         _check_partition(order, "--order")
         body["partition_product"] = _per_term_section(partition_product_check(order), order=order)
 
@@ -452,12 +463,16 @@ def verify(identity: str, t: int | None, nmax: int, order: int, s: int,
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def classify_cmd(fn: str, t: int | None, bound: int, decomposable: str | None, out: str | None) -> None:
     """Classify a function over 1..BOUND; the verdict lives in the report."""
+    from dataclasses import replace
+
+    from .classify import classify, evaluate_range, verify_decomposable
+
     handle = _handle(fn, t, "--bound", bound, 2)  # the laws compare products v[m]*v[n]
     if decomposable:
         # both checks read one table of f over 1..bound
         values = evaluate_range(handle, bound)
         handle = replace(handle, range_values=lambda _: values)
-    body = run_classification(handle, bound)._asdict()
+    body = classify(handle, bound)._asdict()
     body["note"] = f"verdicts are exact over 1..{bound} only"
     if decomposable:
         body["decomposable"] = verify_decomposable(handle, decomposable, bound)._asdict()
@@ -478,6 +493,8 @@ def classify_cmd(fn: str, t: int | None, bound: int, decomposable: str | None, o
 def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
            lemma_g: tuple[int, int] | None, format: str, out: str | None) -> None:
     """Representation-count tables for sums of s-th powers, with cross-checks."""
+    from .waring import brute_force_count, integer_root, verify_lemma_g, waring_counts
+
     if s % 2:
         raise click.UsageError(f"odd power s={s} is unsupported; use an even s >= 2")
     if t is None and lemma_g is None:
@@ -544,6 +561,9 @@ def waring(s: int, t: int | None, order: int, check_bruteforce: int | None,
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str | None) -> None:
     """Exponent histogram over 1..M, its exact PMF, and the first four moments."""
+    from .powerseries import format_rational
+    from .probnum import build_polynomial, eval_at_one, moment, normalize, shifted_sign_scan
+
     if roots and format == "csv":
         raise click.UsageError("--roots is reported in the structured format only, not with --format csv")
     # the structured report holds moments, sums of M r-th powers, r <= 4
@@ -575,6 +595,8 @@ def probnum(beta: str, t: int | None, m: int, roots: bool, format: str, out: str
 
 
 def _pmf_columns(pmf) -> tuple[Iterable, Iterable]:
+    from .powerseries import format_rational
+
     return map(itemgetter(0), pmf.support), map(format_rational, map(itemgetter(1), pmf.support))
 
 

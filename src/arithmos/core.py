@@ -16,7 +16,10 @@ A factorization is the plain tuple of its ``(prime, exponent)`` pairs,
 prime powers: :data:`LOCAL_FUNCTIONS` gives its rule ``(p, a) -> f(p^a)``,
 which the spf walk of :func:`range_values` calls at each prime power and
 the per-n ``eval`` of :func:`arithmos.functions.make_handle` folds over
-:func:`factorize`.
+:func:`factorize`. The id tables that name the functions and the stock
+identities built from them (:data:`FUNCTION_IDS`, :data:`LEMMA_DIRECT`)
+are defined here too, so the CLI declares its options from this module
+alone.
 """
 
 from __future__ import annotations
@@ -197,6 +200,31 @@ LOCAL_FUNCTIONS = {
 def takes_t(fn_id: str) -> bool:
     """Whether the function id ``fn_id`` takes a power parameter t."""
     return fn_id in LOCAL_FUNCTIONS and LOCAL_FUNCTIONS[fn_id][2] is not None
+
+
+#: The integer-valued ids: what the table surface emits and what can serve
+#: as an exponent function for histogram polynomials.
+INTEGER_FUNCTION_IDS = (*LOCAL_FUNCTIONS, "pi", "partition")
+
+#: Every id :func:`arithmos.functions.make_handle` accepts. ``log`` evaluates in
+#: floating point and is only meaningful for approximate classification.
+FUNCTION_IDS = (*INTEGER_FUNCTION_IDS, "log")
+
+#: The direct functions of each stock spec of :func:`arithmos.identities.builtin_spec`:
+#: identity id -> (alpha function id, beta function id), where None is the constant 1.
+LEMMA_DIRECT = {
+    "lemma-a": (None, "omega"),
+    "lemma-b": ("sigma", "omega"),
+    "lemma-c": ("d", "omega"),
+    "lemma-d": (None, "L"),
+}
+
+BUILTIN_SPEC_IDS = tuple(LEMMA_DIRECT)
+
+#: The least t of each stock spec that takes one: the least t that :data:`LOCAL_FUNCTIONS`
+#: gives its direct function (sigma_t of lemma-b, L_t of lemma-d). A spec not listed takes no t.
+LEMMA_LEAST_T = {which: LOCAL_FUNCTIONS[fn_id][2]
+                 for which, direct in LEMMA_DIRECT.items() for fn_id in direct if takes_t(fn_id)}
 
 
 def function_t(fn_id: str, t: int | None) -> int | None:

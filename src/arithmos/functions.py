@@ -16,20 +16,12 @@ import math
 from functools import partial
 
 from .classify import ArithFnHandle
-from .core import (LOCAL_FUNCTIONS, factorize, function_t, local_function, partition_count, prime_count_upto,
-                   range_values)
-
-#: The integer-valued ids: what the table surface emits and what can serve
-#: as an exponent function for histogram polynomials.
-INTEGER_FUNCTION_IDS = (*LOCAL_FUNCTIONS, "pi", "partition")
-
-#: Every id ``make_handle`` accepts. ``log`` evaluates in floating point
-#: and is only meaningful for approximate classification.
-FUNCTION_IDS = (*INTEGER_FUNCTION_IDS, "log")
+from .core import FUNCTION_IDS, factorize, function_t, local_function, partition_count, prime_count_upto, range_values
 
 
 def make_handle(fn_id: str, t: int | None = None) -> ArithFnHandle:
-    """Build a named handle; ``t`` is checked and defaulted by :func:`~arithmos.core.function_t`."""
+    """Build a named handle of an id in :data:`~arithmos.core.FUNCTION_IDS`; ``t`` is checked and
+    defaulted by :func:`~arithmos.core.function_t`."""
     if fn_id not in FUNCTION_IDS:
         raise ValueError(f"unknown function id {fn_id!r}; expected one of {FUNCTION_IDS}")
     t = function_t(fn_id, t)

@@ -32,14 +32,15 @@ alongside as self-contained oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress, count, islice
+from itertools import accumulate, chain, compress, count, islice
 from math import gcd, isqrt
 from operator import add, mul, ne
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .classify import ArithFnHandle, evaluate_range
 from .core import (
-    LOCAL_FUNCTIONS,
+    BUILTIN_SPEC_IDS,
+    LEMMA_DIRECT,
+    LEMMA_LEAST_T,
     largest_prime_factor_order,
     local_function,
     partition_count,
@@ -48,6 +49,9 @@ from .core import (
     takes_t,
 )
 from .powerseries import Rational, TruncatedSeries, as_rational
+
+if TYPE_CHECKING:
+    from .classify import ArithFnHandle
 
 
 class LocalFactorSpec(NamedTuple):
@@ -95,26 +99,9 @@ def spec_table(spec: LocalFactorSpec, n_max: int) -> Iterator[list]:
     yield prime_power_table(n_max, spec.kappa, add, 0)
 
 
-#: The direct functions of each stock spec: identity id -> (alpha function id,
-#: beta function id), where None is the constant 1.
-LEMMA_DIRECT = {
-    "lemma-a": (None, "omega"),
-    "lemma-b": ("sigma", "omega"),
-    "lemma-c": ("d", "omega"),
-    "lemma-d": (None, "L"),
-}
-
-BUILTIN_SPEC_IDS = tuple(LEMMA_DIRECT)
-
-#: The least t of each stock spec that takes one: the least t that :data:`core.LOCAL_FUNCTIONS`
-#: gives its direct function (sigma_t of lemma-b, L_t of lemma-d). A spec not listed takes no t.
-LEMMA_LEAST_T = {which: LOCAL_FUNCTIONS[fn_id][2]
-                 for which, direct in LEMMA_DIRECT.items() for fn_id in direct if takes_t(fn_id)}
-
-
 def lemma_direct(which: str, t: int | None) -> tuple[tuple[str | None, int | None], ...]:
     """The direct ``(function id, t)`` pairs of a stock spec, alpha's then beta's, from
-    :data:`LEMMA_DIRECT`: the spec's t goes to the id that takes one, and None to the others."""
+    :data:`core.LEMMA_DIRECT`: the spec's t goes to the id that takes one, and None to the others."""
     return tuple((fn_id, t if takes_t(fn_id) else None) for fn_id in LEMMA_DIRECT[which])
 
 
@@ -127,7 +114,7 @@ def builtin_spec(which: str, t: int | None = None) -> LocalFactorSpec:
     lemma-c: theta = a + 1,            kappa = 1      -> (d, omega)
     lemma-d: theta = 1,                kappa = a^t    -> (1, L_t)
 
-    lemma-b and lemma-d need a t of at least their :data:`LEMMA_LEAST_T`, with no default;
+    lemma-b and lemma-d need a t of at least their :data:`core.LEMMA_LEAST_T`, with no default;
     the other two take none.
     """
     if which not in LEMMA_DIRECT:
@@ -156,6 +143,8 @@ def verify_per_term(
     :func:`spec_table` does. Each spec table is asked for after its direct table is built and
     dropped with it, so from :func:`spec_table`'s iterator two of the four are alive at once.
     """
+    from .classify import evaluate_range  # loaded here: the other checks of this module never read it
+
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     failures = set()
@@ -328,23 +317,24 @@ def euler_zeta_check(s: int, n_max: int, prime_bound: int) -> NumericCheck:
 def partition_product_series(order: int) -> TruncatedSeries:
     """Expand prod_{m=1..order} (1 + x^m + x^2m + ...) truncated at the order.
 
-    Multiplying by one truncated geometric factor 1/(1 - x^m) is the
-    in-place prefix recurrence c[i] += c[i - m], run in blocks of m: block
-    [i, i + m) adds the block before it, which is already final. One pass
-    per factor would be O(order^2) integer additions, so the factors are
-    split at s = isqrt(order). Taking s from each part of a partition into j
-    parts, all above s, leaves a partition into exactly j parts, so
+    Multiplying by one truncated geometric factor 1/(1 - x^m) is the prefix
+    recurrence c[i] += c[i - m]: a running sum along each residue class mod m,
+    so the factor is m passes of ``accumulate`` over the slices ``c[r::m]``,
+    r < m, each written back in place. One pass per factor would be
+    O(order^2) integer additions, so the factors are split at
+    s = isqrt(order). Taking s from each part of a partition into j parts,
+    all above s, leaves a partition into exactly j parts, so
 
         prod_{m>s} 1/(1 - x^m) = sum_{j>=0} x^(j(s+1)) E_j,
         E_j = 1/((1 - x)(1 - x^2)...(1 - x^j)),
 
     and only j <= order // (s + 1) <= s reach the order. E_j grows from
-    E_{j-1} by one recurrence pass of stride j, cut to the length it
-    needs, and is added in at x^(j(s+1)); the factors m <= s are then one
-    recurrence pass each. That is O(order^1.5) additions: about 0.32
-    million at order 3000, against 4.5 million for one pass per factor.
-    Neither the series kernel nor the pentagonal recurrence is used, so
-    :func:`partition_product_check` compares two independent routes.
+    E_{j-1} by the recurrence of stride j, cut to the length it needs, and
+    is added in at x^(j(s+1)); the factors m <= s then take the recurrence
+    each. That is O(order^1.5) additions, about 0.32 million at order 3000,
+    against 4.5 million for one pass per factor, in O(order) slice
+    operations. Neither the series kernel nor the pentagonal recurrence is
+    used, so :func:`partition_product_check` compares two independent routes.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -354,12 +344,12 @@ def partition_product_series(order: int) -> TruncatedSeries:
     for j in range(1, order // (s + 1) + 1):
         shift = j * (s + 1)
         del parts[order + 1 - shift:]
-        for i in range(j, len(parts), j):
-            parts[i:i + j] = map(add, parts[i:i + j], parts[i - j:i])
+        for r in range(j):
+            parts[r::j] = accumulate(parts[r::j])
         coeffs[shift:] = map(add, coeffs[shift:], parts)
     for m in range(1, s + 1):
-        for i in range(m, order + 1, m):
-            coeffs[i:i + m] = map(add, coeffs[i:i + m], coeffs[i - m:i])
+        for r in range(m):
+            coeffs[r::m] = accumulate(coeffs[r::m])
     return TruncatedSeries(order, tuple(coeffs))
 
 

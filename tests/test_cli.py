@@ -28,9 +28,9 @@ from arithmos.cli import (
     FlatRows,
     cli,
 )
-from arithmos.core import LOCAL_FUNCTIONS, range_values, takes_t
-from arithmos.functions import FUNCTION_IDS, INTEGER_FUNCTION_IDS, make_handle
-from arithmos.identities import LEMMA_DIRECT, builtin_spec, numeric_identity_check, spec_table
+from arithmos.core import FUNCTION_IDS, INTEGER_FUNCTION_IDS, LEMMA_DIRECT, LOCAL_FUNCTIONS, range_values, takes_t
+from arithmos.functions import make_handle
+from arithmos.identities import builtin_spec, numeric_identity_check, spec_table
 from arithmos.powerseries import format_rational
 from arithmos.waring import integer_root, verify_lemma_g
 
@@ -340,9 +340,10 @@ def _no_work(*args, **kwargs):
 
 
 def _refuse_work(monkeypatch, *names):
-    """Make each named function of the CLI, and every spec table, fail the test if it is called."""
+    """Make each named library function (``module.function``, which the CLI imports where it calls
+    it), and every spec table, fail the test if it is called."""
     for name in names:
-        monkeypatch.setattr(f"arithmos.cli.{name}", _no_work)
+        monkeypatch.setattr(f"arithmos.{name}", _no_work)
     monkeypatch.setattr("arithmos.identities.prime_power_table", _no_work)
 
 
@@ -360,8 +361,9 @@ def _refuse_work(monkeypatch, *names):
 ])
 def test_verify_unread_flag_rejected(monkeypatch, tmp_path, identity, flag, value, source):
     # a flag that the identity never reads exits 2 naming it, before any check runs
-    _refuse_work(monkeypatch, "spec_table", "verify_per_term", "numeric_identity_check", "euler_zeta_check",
-                 "partition_product_check")
+    _refuse_work(monkeypatch, "identities.spec_table", "identities.verify_per_term",
+                 "identities.numeric_identity_check", "identities.euler_zeta_check",
+                 "identities.partition_product_check")
     if source == "flag":
         res = run("verify", "--identity", identity, flag, value)
     else:
@@ -393,8 +395,10 @@ def test_verify_unread_flag_rejected(monkeypatch, tmp_path, identity, flag, valu
      "--gap-tol"),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
 def test_value_below_its_flag_range_rejected(monkeypatch, args, flag):
-    _refuse_work(monkeypatch, "spec_table", "verify_per_term", "numeric_identity_check", "euler_zeta_check",
-                 "partition_product_check", "waring_counts", "verify_lemma_g", "run_classification")
+    _refuse_work(monkeypatch, "identities.spec_table", "identities.verify_per_term",
+                 "identities.numeric_identity_check", "identities.euler_zeta_check",
+                 "identities.partition_product_check", "waring.waring_counts", "waring.verify_lemma_g",
+                 "classify.classify")
     res = run(*args)
     assert res.exit_code == 2
     assert res.stdout == ""
@@ -414,7 +418,8 @@ def test_value_below_its_flag_range_rejected(monkeypatch, args, flag):
 ], ids=["sum", "product", "sum x-power lemma-d", "product x-power lemma-d", "product x-power"])
 def test_verify_denominator_ceiling_refused_before_any_table(monkeypatch, args, size):
     # each estimate of a lemma --x run refuses it (exit 2) before the spec tables or a check start
-    _refuse_work(monkeypatch, "spec_table", "verify_per_term", "numeric_identity_check")
+    _refuse_work(monkeypatch, "identities.spec_table", "identities.verify_per_term",
+                 "identities.numeric_identity_check")
     monkeypatch.setattr("arithmos.functions.range_values", _no_work)
     res = run("verify", *args)
     assert res.exit_code == 2
@@ -498,7 +503,7 @@ def test_waring_bruteforce_enumeration_above_ceiling_rejected():
 
 
 def test_waring_bruteforce_needs_a_count_table(monkeypatch):
-    monkeypatch.setattr("arithmos.cli.verify_lemma_g", _no_work)
+    monkeypatch.setattr("arithmos.waring.verify_lemma_g", _no_work)
     res = run("waring", "--s", "2", "--lemma-g", "1", "1", "--order", "10", "--check-bruteforce", "5")
     assert res.exit_code == 2
     assert res.stdout == ""
@@ -524,9 +529,9 @@ def test_waring_csv_writes_its_check_verdicts_to_stderr(monkeypatch, broken, ver
     counts = run("waring", "--s", "2", "--t", "2", "--order", "5")
     assert counts.exit_code == 0 and counts.stderr == ""  # no check ran, no verdict line
     if broken == "brute_force_count":
-        monkeypatch.setattr("arithmos.cli.brute_force_count", lambda limit, s, t: [0] * (limit + 1))
+        monkeypatch.setattr("arithmos.waring.brute_force_count", lambda limit, s, t: [0] * (limit + 1))
     elif broken == "verify_lemma_g":
-        monkeypatch.setattr("arithmos.cli.verify_lemma_g",
+        monkeypatch.setattr("arithmos.waring.verify_lemma_g",
                             lambda *args: verify_lemma_g(*args)._replace(ok=False, first_mismatch=3))
     res = run(*WARING_CHECKED)
     assert res.exit_code == (1 if broken else 0)
@@ -589,7 +594,7 @@ def test_probnum_roots_section():
 
 
 def test_probnum_roots_rejected_with_csv(monkeypatch):
-    monkeypatch.setattr("arithmos.cli.build_polynomial", _no_work)
+    monkeypatch.setattr("arithmos.probnum.build_polynomial", _no_work)
     res = run("probnum", "--beta", "omega", "--M", "30", "--roots", "--format", "csv")
     assert res.exit_code == 2
     assert res.stdout == ""
@@ -776,7 +781,7 @@ def test_lemma_d_below_the_estimates_admitted(monkeypatch, args):
     def stop(*_):
         raise RuntimeError("admitted")
 
-    monkeypatch.setattr(cli_module, "verify_per_term", stop)
+    monkeypatch.setattr("arithmos.identities.verify_per_term", stop)
     res = run(*args)
     assert res.exit_code == 1
     assert "error: admitted" in res.output

@@ -1,5 +1,6 @@
 """The package namespace loads lazily: importing arithmos, or one submodule of it, loads
-nothing else of the package, and every exported name is the object its module defines."""
+nothing else of the package, a CLI process loads only what its subcommand runs, and every
+exported name is the object its module defines."""
 
 import importlib
 import os
@@ -43,6 +44,37 @@ def test_an_import_loads_only_what_it_names(statement, package):
     assert package_modules(loaded) == package
     # measured against an empty statement, so that what site hooks import at startup does not count
     assert not (loaded - loaded_after("pass")) & {"dataclasses", "inspect"}
+
+
+# Runs the CLI in the probe's interpreter with its output sent to the null device, so that only
+# the probe prints to stdout.
+CLI_RUN = """\
+import os
+from arithmos.cli import cli
+shown = sys.stdout
+with open(os.devnull, "w") as sys.stdout:
+    try:
+        cli.main(args={args!r}, prog_name="arithmos")
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+sys.stdout = shown
+"""
+
+CLI_MODULES = {"arithmos", "arithmos.cli", "arithmos.core"}
+
+
+@pytest.mark.parametrize("args, package", [
+    (("--version",), CLI_MODULES),
+    (("--help",), CLI_MODULES),
+    (("waring", "--s", "2", "--t", "4", "--order", "50"), CLI_MODULES | {"arithmos.powerseries", "arithmos.waring"}),
+    (("table", "--fn", "d", "--nmax", "50"), CLI_MODULES | {"arithmos.functions", "arithmos.classify"}),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+def test_a_cli_process_loads_only_what_its_subcommand_runs(args, package):
+    # measured against a bare import of click, which every CLI process pays for
+    loaded = loaded_after(CLI_RUN.format(args=list(args))) - loaded_after("import click")
+    assert package_modules(loaded) == package
+    if args == ("--version",):
+        assert not loaded & {"json", "fractions", "decimal", "dataclasses"}
 
 
 def test_exported_names_resolve_to_their_modules_objects():
